@@ -158,10 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_meta(seed: int, cfg_hash: str | None = None) -> dict:
+def _out_meta(seed, cfg_hash: str | None = None, schema: str | None = None,
+              source: dict | None = None, **extra) -> dict:
+    """Artifact metadata in its on-disk key order: version, seed,
+    config_hash, schema, the domain of the ``source`` metadata, ``extra``."""
     meta = {"version": dgme.__version__, "seed": seed}
     if cfg_hash is not None:
         meta["config_hash"] = cfg_hash
+    if schema is not None:
+        meta["schema"] = schema
+    if source and "domain" in source:
+        meta["domain"] = source["domain"]
+    meta.update(extra)
     return meta
 
 
@@ -203,10 +211,17 @@ def cmd_extract(args) -> int:
     cfg_hash = dsc.config_hash(dcfg, fcfg)
 
     tasks = []
+    clip_ids: dict[str, int] = {}
     for i, (rel, _) in enumerate(rows):
         clip_path = root / rel
         if not clip_path.exists():
             raise DataError(f"row {i + 1}: clip file missing: {clip_path}")
+        cid = Path(rel).stem
+        if cid in clip_ids:
+            raise DataError(
+                f"row {i + 1}: clip id {cid!r} of {rel} duplicates row {clip_ids[cid] + 1}"
+            )
+        clip_ids[cid] = i
         tasks.append((i, str(clip_path), sampling, dcfg, fcfg))
 
     if args.jobs <= 1:
@@ -217,14 +232,12 @@ def cmd_extract(args) -> int:
     results.sort(key=lambda r: r[0])
 
     descriptors = [
-        dsc.DgmeDescriptor(values, clip_id=Path(rows[i][0]).stem, config_hash=cfg_hash)
-        for i, values in results
+        dsc.DgmeDescriptor(values, clip_id=cid, config_hash=cfg_hash)
+        for cid, (_, values) in zip(clip_ids, results)
     ]
     labels = [label for _, label in rows]
-    out_meta = _base_meta(args.seed, cfg_hash)
-    if "domain" in meta:
-        out_meta["domain"] = meta["domain"]
-    dsc.write_features_csv(args.out, descriptors, labels, out_meta)
+    dsc.write_features_csv(args.out, descriptors, labels,
+                           _out_meta(args.seed, cfg_hash, source=meta))
     print(f"wrote {len(descriptors)} descriptors to {args.out}")
     return 0
 
@@ -236,10 +249,7 @@ def cmd_stats(args) -> int:
         raise DataError(f"need >= 2 feature rows to fit statistics, have {matrix.shape[0]}")
     descs = [dsc.DgmeDescriptor(matrix[i], clip_ids[i], cfg_hash) for i in range(len(clip_ids))]
     stats = dsc.fit_stats(descs)
-    out_meta = _base_meta(args.seed, cfg_hash)
-    if "domain" in meta:
-        out_meta["domain"] = meta["domain"]
-    dsc.write_stats_json(args.out, stats, out_meta)
+    dsc.write_stats_json(args.out, stats, _out_meta(args.seed, cfg_hash, source=meta))
     print(f"fitted statistics on {stats.source_count} descriptors -> {args.out}")
     return 0
 
@@ -258,10 +268,7 @@ def cmd_normalize(args) -> int:
         dsc.DgmeDescriptor(dsc.apply_zscore(matrix[i], stats), clip_ids[i], cfg_hash)
         for i in range(len(clip_ids))
     ]
-    out_meta = _base_meta(int(meta.get("seed", 0)), cfg_hash)
-    if "domain" in meta:
-        out_meta["domain"] = meta["domain"]
-    out_meta["calibrated"] = "true"
+    out_meta = _out_meta(int(meta.get("seed", 0)), cfg_hash, source=meta, calibrated="true")
     dsc.write_features_csv(args.out, calibrated, labels, out_meta)
     print(f"calibrated {len(calibrated)} rows -> {args.out}")
     return 0
@@ -285,10 +292,7 @@ def cmd_split(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_meta = _base_meta(args.seed)
-    out_meta["schema"] = schema.name
-    if "domain" in meta:
-        out_meta["domain"] = meta["domain"]
+    out_meta = _out_meta(args.seed, schema=schema.name, source=meta)
     for name, part in (("train", train), ("val", val), ("test", test)):
         ev.write_annotations_csv(out_dir / f"{name}.csv", part.entries, out_meta)
     counts = {name: len(part.entries) for name, part in
@@ -311,11 +315,8 @@ def cmd_oversample(args) -> int:
         if cls not in schema.classes:
             raise UsageError(f"target class {cls!r} not in schema {schema.name}")
     result = ev.oversample(aset, targets, seed=args.seed)
-    out_meta = _base_meta(args.seed)
-    out_meta["schema"] = schema.name
-    if "domain" in meta:
-        out_meta["domain"] = meta["domain"]
-    ev.write_annotations_csv(args.out, result.entries, out_meta)
+    ev.write_annotations_csv(args.out, result.entries,
+                             _out_meta(args.seed, schema=schema.name, source=meta))
     print(f"oversampled {len(aset.entries)} -> {len(result.entries)} entries")
     return 0
 
@@ -395,13 +396,14 @@ def cmd_train(args) -> int:
                                   backbone=xb_val)
     params, log = mdl.train(mode, train_set, val_set, cfg)
 
-    model_meta = _base_meta(args.seed, meta.get("config_hash", ""))
+    cfg_hash = meta.get("config_hash", "")
+    model_meta = _out_meta(args.seed, cfg_hash)
     model_meta.update(
         {
             "mode": mode,
             "schema": schema.name,
             "calibrated": calibrated,
-            "stats_config_hash": meta.get("config_hash", "") if args.stats else None,
+            "stats_config_hash": cfg_hash if args.stats else None,
             "train_domain": meta.get("domain"),
             "embedding": provider.descriptor if provider else None,
             "embed_seed": args.seed if provider else None,
@@ -410,7 +412,7 @@ def cmd_train(args) -> int:
     )
     mdl.save_model_json(args.out, params, model_meta)
     if args.log:
-        mdl.write_training_log(args.log, log, _base_meta(args.seed, meta.get("config_hash", "")))
+        mdl.write_training_log(args.log, log, _out_meta(args.seed, cfg_hash))
     best = max(row["val_macro_f1"] for row in log)
     print(f"trained {mode} head: best val macro F1 {best:.4f} over {len(log)} epochs -> {args.out}")
     return 0
@@ -467,11 +469,10 @@ def cmd_eval(args) -> int:
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
         seed = int(model_meta.get("seed", args.seed))
         if args.out_predictions:
-            ev.write_annotations_csv(args.out_predictions, predictions, _base_meta(seed))
+            ev.write_annotations_csv(args.out_predictions, predictions, _out_meta(seed))
 
     cm, report = ev.evaluate(predictions, truth)
-    out_meta = _base_meta(seed)
-    out_meta["schema"] = schema.name
+    out_meta = _out_meta(seed, schema=schema.name)
     ev.write_metrics_json(args.out_metrics, report, schema.classes, out_meta)
     ev.write_confusion_csv(args.out_confusion, cm, out_meta)
     print(f"accuracy {report.accuracy:.4f}, macro F1 {report.macro_f1:.4f} "
@@ -483,9 +484,7 @@ def cmd_viz(args) -> int:
     meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
     cfg = dsc.DgmeConfig(grid=args.grid_cells, directional_bins=args.bins,
                          magnitude_threshold=args.mthr)
-    svg_meta = {"version": dgme.__version__, "seed": meta.get("seed", 0)}
-    if "config_hash" in meta:
-        svg_meta["config_hash"] = meta["config_hash"]
+    svg_meta = _out_meta(meta.get("seed", 0), meta.get("config_hash"))
 
     if args.kind == "rose":
         if args.label is None:
@@ -510,23 +509,18 @@ def cmd_viz(args) -> int:
     return 0
 
 
+# first match wins; a bare ValueError is a bad option value
+_EXIT_CODES = ((UsageError, 1), (NumericError, 3), (DgmeError, 2), (ValueError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (DgmeError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
-        return 3
-    except DgmeError as exc:
-        print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

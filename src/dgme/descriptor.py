@@ -22,12 +22,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from dgme._meta import format_meta, parse_meta
 from dgme.errors import DataError, NumericError
-from dgme.flow import FarnebackConfig, FlowField, PolarFlow, cart2polar, farneback_flow
+from dgme.flow import FarnebackConfig, PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
 
 # z-score denominator floor for zero-variance dimensions
@@ -167,28 +168,17 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig,
 
 
 def compute_dgme(seq: FrameSequence, cfg: DgmeConfig,
-                 flow_cfg: FarnebackConfig | None = None,
-                 flow_fn: Callable[[np.ndarray, np.ndarray], FlowField] | None = None,
-                 ) -> DgmeDescriptor:
-    """Descriptor for one clip from its consecutive sampled frame pairs.
-
-    ``flow_fn`` overrides the default dense estimator (used to swap in the
-    block-matching oracle for verification); the config hash then records
-    the custom estimator instead of the Farneback parameters.
-    """
+                 flow_cfg: FarnebackConfig | None = None) -> DgmeDescriptor:
+    """Descriptor for one clip from its consecutive sampled frame pairs."""
     flow_cfg = flow_cfg or FarnebackConfig()
     if min(seq.height, seq.width) < cfg.grid:
         raise DataError(f"frame {seq.height}x{seq.width} smaller than {cfg.grid}x{cfg.grid} grid")
-    if flow_fn is None:
-        flow_fn = lambda a, b: farneback_flow(a, b, flow_cfg)
-        cfg_hash = config_hash(cfg, flow_cfg)
-    else:
-        cfg_hash = "custom-" + config_hash(cfg, flow_cfg)[:6]
     fields = [
-        cart2polar(flow_fn(seq.frames[t], seq.frames[t + 1]))
+        cart2polar(farneback_flow(seq.frames[t], seq.frames[t + 1], flow_cfg))
         for t in range(seq.frame_count - 1)
     ]
-    return descriptor_from_polar(fields, cfg, clip_id=seq.clip_id, cfg_hash=cfg_hash)
+    return descriptor_from_polar(fields, cfg, clip_id=seq.clip_id,
+                                 cfg_hash=config_hash(cfg, flow_cfg))
 
 
 def fit_stats(descriptors: Sequence[DgmeDescriptor]) -> NormStats:
@@ -229,20 +219,6 @@ def apply_zscore(desc: DgmeDescriptor | np.ndarray, stats: NormStats) -> np.ndar
 # on-disk formats
 # ---------------------------------------------------------------------------
 
-def _meta_line(kind: str, meta: dict) -> str:
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
-    return f"# dgme-{kind} {parts}"
-
-
-def _parse_meta(line: str) -> dict:
-    meta = {}
-    for token in line.lstrip("# ").split()[1:]:
-        if "=" in token:
-            k, v = token.split("=", 1)
-            meta[k] = v
-    return meta
-
-
 def write_features_csv(path, descriptors: Sequence[DgmeDescriptor],
                        labels: Sequence[str], meta: dict) -> None:
     """Write the features table: ``clip_id,label,f0,...`` with one leading
@@ -254,7 +230,7 @@ def write_features_csv(path, descriptors: Sequence[DgmeDescriptor],
             raise NumericError(f"non-finite descriptor for clip {d.clip_id}")
     n = descriptors[0].values.shape[0] if descriptors else 0
     with open(Path(path), "w", newline="\n") as fh:
-        fh.write(_meta_line("features", meta) + "\n")
+        fh.write(f"# {format_meta('features', meta)}\n")
         header = ["clip_id", "label"] + [f"f{i}" for i in range(n)]
         fh.write(",".join(header) + "\n")
         for d, label in zip(descriptors, labels):
@@ -274,7 +250,7 @@ def read_features_csv(path):
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
-            meta = _parse_meta(first)
+            meta = parse_meta(first)
             header = fh.readline()
         else:
             header = first
@@ -284,10 +260,22 @@ def read_features_csv(path):
         for rec in csv.reader(fh):
             if not rec:
                 continue
+            row = len(clip_ids) + 1
+            if len(rec) != len(cols):
+                raise DataError(
+                    f"features row {row} in {path} has {len(rec)} cells, header has {len(cols)}"
+                )
+            try:
+                rows.append([float(v) for v in rec[2:]])
+            except ValueError as exc:
+                raise DataError(f"features row {row} ({rec[0]}) in {path}: {exc}") from exc
             clip_ids.append(rec[0])
             labels.append(rec[1])
-            rows.append([float(v) for v in rec[2:]])
     matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(cols) - 2))
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(f"features row {k + 1} ({clip_ids[k]}) in {path} has a non-finite value")
     return meta, clip_ids, labels, matrix
 
 

@@ -16,14 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from dgme._meta import format_meta, parse_meta
 from dgme.errors import DataError
 
 DROP = "DROP"
-
-# Training-set oversampling targets for the consolidated modern corpus,
-# alongside the original counts they were derived from.
-MODERN_ORIGINAL_TRAIN_COUNTS = {"static": 1304, "tilt": 63, "pan": 73, "zoom": 1212}
-MODERN_OVERSAMPLE_TARGETS = {"static": 1686, "tilt": 1280, "pan": 1460, "zoom": 1820}
 
 
 @dataclass(frozen=True)
@@ -265,10 +261,7 @@ def read_annotations_csv(path) -> tuple[dict, list[tuple[str, str]]]:
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
-            for token in first.lstrip("# ").split()[1:]:
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    meta[k] = v
+            meta = parse_meta(first)
             first = fh.readline()
         if first.strip() != "clip_path,label":
             raise DataError(f"unexpected annotations header in {path}: {first.strip()!r}")
@@ -282,9 +275,8 @@ def read_annotations_csv(path) -> tuple[dict, list[tuple[str, str]]]:
 
 
 def write_annotations_csv(path, rows: list[tuple[str, str]], meta: dict) -> None:
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
     with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# dgme-annotations {parts}\n")
+        fh.write(f"# {format_meta('annotations', meta)}\n")
         fh.write("clip_path,label\n")
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
@@ -309,9 +301,8 @@ def write_metrics_json(path, report: MetricsReport, class_names, meta: dict) -> 
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, meta: dict) -> None:
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
     with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# dgme-confusion {parts}\n")
+        fh.write(f"# {format_meta('confusion', meta)}\n")
         fh.write("true\\pred," + ",".join(cm.class_names) + "\n")
         for name, row in zip(cm.class_names, cm.counts):
             fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")

@@ -1,35 +1,26 @@
 """Dense optical flow estimation and polar conversion.
 
-Two estimators live here:
+``farneback_flow`` estimates dense sub-pixel flow via local quadratic
+polynomial expansion. Each image is fitted per pixel as
+f(x) ~ x'Ax + b'x + c over a Gaussian-weighted neighborhood; for a
+translation d the linear coefficients satisfy b2 = b1 - 2*A*d, so d is
+recovered from expansion-coefficient differences, made robust by
+Gaussian-weighted neighborhood averaging of the normal equations, and
+wrapped in a coarse-to-fine pyramid with fixed-point iterations per level.
 
-  - ``farneback_flow``: dense sub-pixel flow via local quadratic
-    polynomial expansion. Each image is fitted per pixel as
-    f(x) ~ x'Ax + b'x + c over a Gaussian-weighted neighborhood;
-    for a translation d the linear coefficients satisfy
-    b2 = b1 - 2*A*d, so d is recovered from expansion-coefficient
-    differences, made robust by Gaussian-weighted neighborhood
-    averaging of the normal equations, and wrapped in a coarse-to-fine
-    pyramid with fixed-point iterations per level.
-  - ``block_match_flow``: brute-force integer SAD block matching, kept
-    deliberately simple so it can serve as an independent test oracle.
-
-All internal math is 64-bit; stored fields are 32-bit floats. Both
-estimators are pure functions of their inputs.
+All internal math is 64-bit; stored fields are 32-bit floats. The
+estimator is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-import struct
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from dgme._resample import resize_bilinear, sample_bilinear
 from dgme.errors import DataError
-
-FLO_MAGIC = b"FLO1"
 
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
 # zero flow instead of amplifying numerical noise
@@ -50,14 +41,6 @@ class FlowField:
             raise ValueError(f"u/v must be matching 2-D arrays, got {self.u.shape} vs {self.v.shape}")
         if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
             raise ValueError("flow fields must be finite")
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
 
 
 @dataclass
@@ -270,64 +253,6 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
     return FlowField(u, v)
 
 
-def block_match_flow(prev: np.ndarray, nxt: np.ndarray,
-                     block: int = 8, search_radius: int = 7) -> FlowField:
-    """Brute-force integer block matching (test oracle).
-
-    Each ``block`` x ``block`` tile of ``prev`` is matched against
-    ``nxt`` over all displacements within ``search_radius``, minimizing
-    the sum of absolute differences. Ties break toward the smallest
-    displacement norm, then lexicographic (dy, dx). The per-block result
-    is replicated to pixel resolution; remainder rows/columns copy their
-    neighboring block. Out-of-frame comparisons use edge-replicated
-    padding.
-    """
-    if block < 1 or search_radius < 1:
-        raise ValueError("block and search_radius must be positive")
-    prev = np.asarray(prev)
-    nxt = np.asarray(nxt)
-    if prev.shape != nxt.shape:
-        raise DataError(f"frame size mismatch: {prev.shape} vs {nxt.shape}")
-    h, w = prev.shape
-    if min(h, w) < block:
-        raise DataError(f"frame {prev.shape} smaller than block size {block}")
-
-    r = search_radius
-    p = prev.astype(np.int64)
-    padded = np.pad(nxt.astype(np.int64), r, mode="edge")
-    nby, nbx = h // block, w // block
-    ph, pw = nby * block, nbx * block
-
-    candidates = sorted(
-        ((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
-        key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
-    )
-    best = np.full((nby, nbx), np.iinfo(np.int64).max, dtype=np.int64)
-    best_dy = np.zeros((nby, nbx), dtype=np.int64)
-    best_dx = np.zeros((nby, nbx), dtype=np.int64)
-    ref = p[:ph, :pw]
-    for dy, dx in candidates:
-        shifted = padded[r + dy : r + dy + ph, r + dx : r + dx + pw]
-        sad = np.abs(ref - shifted).reshape(nby, block, nbx, block).sum(axis=(1, 3))
-        # strict < keeps the earliest candidate in tie-break order
-        upd = sad < best
-        best[upd] = sad[upd]
-        best_dy[upd] = dy
-        best_dx[upd] = dx
-
-    u = np.zeros((h, w), dtype=np.float64)
-    v = np.zeros((h, w), dtype=np.float64)
-    u[:ph, :pw] = np.repeat(np.repeat(best_dx, block, 0), block, 1)
-    v[:ph, :pw] = np.repeat(np.repeat(best_dy, block, 0), block, 1)
-    if ph < h:
-        u[ph:, :] = u[ph - 1 : ph, :]
-        v[ph:, :] = v[ph - 1 : ph, :]
-    if pw < w:
-        u[:, pw:] = u[:, pw - 1 : pw]
-        v[:, pw:] = v[:, pw - 1 : pw]
-    return FlowField(u, v)
-
-
 def cart2polar(field: FlowField) -> PolarFlow:
     """Convert (u, v) to magnitude and angle in degrees.
 
@@ -341,27 +266,3 @@ def cart2polar(field: FlowField) -> PolarFlow:
     theta = np.degrees(np.arctan2(v, u)) % 360.0
     theta[m == 0.0] = 0.0
     return PolarFlow(m, theta)
-
-
-def write_flo(field: FlowField, path) -> None:
-    """Debug dump: 16-byte header (magic, width, height, reserved u32 = 0),
-    then the u plane and the v plane as little-endian f32."""
-    with open(Path(path), "wb") as fh:
-        fh.write(FLO_MAGIC)
-        fh.write(struct.pack("<III", field.width, field.height, 0))
-        fh.write(field.u.astype("<f4").tobytes(order="C"))
-        fh.write(field.v.astype("<f4").tobytes(order="C"))
-
-
-def read_flo(path) -> FlowField:
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != FLO_MAGIC:
-        raise DataError(f"not a flow dump: {path}")
-    width, height, _ = struct.unpack("<III", data[4:16])
-    expected = 16 + 2 * 4 * width * height
-    if len(data) != expected:
-        raise DataError(f"truncated flow dump {path}: expected {expected} bytes, have {len(data)}")
-    plane = width * height * 4
-    u = np.frombuffer(data[16 : 16 + plane], dtype="<f4").reshape(height, width)
-    v = np.frombuffer(data[16 + plane :], dtype="<f4").reshape(height, width)
-    return FlowField(u.copy(), v.copy())

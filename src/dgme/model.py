@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from dgme._meta import format_meta
+from dgme.descriptor import grid_cells
 from dgme.errors import DataError, NumericError
 from dgme.videoio import FrameSequence
 
@@ -112,10 +114,6 @@ class LabeledFeatures:
             if self.backbone.shape[0] != n:
                 raise ValueError("backbone rows must align with clip_ids")
 
-    @property
-    def backbone_dim(self) -> int:
-        return 0 if self.backbone is None else self.backbone.shape[1]
-
     def backbone_or_empty(self) -> np.ndarray:
         if self.backbone is None:
             return np.zeros((len(self.clip_ids), 0), dtype=np.float64)
@@ -127,15 +125,6 @@ def _standardize(x: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + eps)
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = LAYER_NORM_EPS) -> np.ndarray:
-    """y = gain * (x - mean) / sqrt(var + eps) + bias, variance divisor D.
-
-    Works on a vector or a batch of row vectors.
-    """
-    return gain * _standardize(x, eps) + bias
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -152,31 +141,6 @@ def _forward_batch(backbone: np.ndarray, dgme: np.ndarray,
     fused = np.concatenate([backbone, params.alpha * normed], axis=-1)
     logits = fused @ params.W.T + params.b
     return softmax(logits), xhat, normed, fused
-
-
-def fusion_forward(f_backbone: np.ndarray, f_dgme: np.ndarray,
-                   params: FusionHeadParams) -> np.ndarray:
-    """Class probabilities for one clip."""
-    f_backbone = np.asarray(f_backbone, dtype=np.float64).reshape(1, -1)
-    f_dgme = np.asarray(f_dgme, dtype=np.float64).reshape(1, -1)
-    if f_backbone.shape[1] != params.backbone_dim:
-        raise DataError(
-            f"embedding dim {f_backbone.shape[1]} does not match head ({params.backbone_dim})"
-        )
-    if f_dgme.shape[1] != params.descriptor_dim:
-        raise DataError(
-            f"descriptor dim {f_dgme.shape[1]} does not match head ({params.descriptor_dim})"
-        )
-    probs, _, _, _ = _forward_batch(f_backbone, f_dgme, params)
-    return probs[0]
-
-
-def cross_entropy(probs: np.ndarray, true_class: int) -> float:
-    """-log p[true_class], with the probability floored at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not (0 <= true_class < probs.shape[-1]):
-        raise ValueError(f"class index {true_class} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[true_class]), PROB_FLOOR)))
 
 
 def backward(backbone: np.ndarray, dgme: np.ndarray, labels: np.ndarray,
@@ -251,7 +215,17 @@ def init_params(class_names, backbone_dim: int, descriptor_dim: int,
 
 
 def predict(features: LabeledFeatures, params: FusionHeadParams) -> np.ndarray:
-    probs, _, _, _ = _forward_batch(features.backbone_or_empty(), features.dgme, params)
+    """Predicted class index per clip."""
+    backbone = features.backbone_or_empty()
+    if backbone.shape[1] != params.backbone_dim:
+        raise DataError(
+            f"embedding dim {backbone.shape[1]} does not match head ({params.backbone_dim})"
+        )
+    if features.dgme.shape[1] != params.descriptor_dim:
+        raise DataError(
+            f"descriptor dim {features.dgme.shape[1]} does not match head ({params.descriptor_dim})"
+        )
+    probs, _, _, _ = _forward_batch(backbone, features.dgme, params)
     return probs.argmax(axis=1)
 
 
@@ -398,14 +372,10 @@ def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = 64) -> np.ndarr
     hist /= seq.frame_count
 
     diffs = np.abs(np.diff(frames, axis=0)).mean(axis=0)  # (H, W)
-    h, w = diffs.shape
-    ch, cw = h // 3, w // 3
-    energies = np.zeros(9, dtype=np.float64)
-    for i in range(3):
-        y1 = (i + 1) * ch if i < 2 else h
-        for j in range(3):
-            x1 = (j + 1) * cw if j < 2 else w
-            energies[i * 3 + j] = diffs[i * ch : y1, j * cw : x1].mean() / 255.0
+    energies = np.array([
+        diffs[y0:y1, x0:x1].mean() / 255.0
+        for y0, y1, x0, x1 in grid_cells(diffs.shape[0], diffs.shape[1], 3)
+    ])
 
     raw = np.concatenate([hist, energies])
     proj = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, raw.size))
@@ -479,9 +449,8 @@ def load_model_json(path) -> tuple[FusionHeadParams, dict]:
 
 
 def write_training_log(path, log: list[dict], meta: dict) -> None:
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
     with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# dgme-trainlog {parts}\n")
+        fh.write(f"# {format_meta('trainlog', meta)}\n")
         fh.write("epoch,step,lr,train_loss,val_macro_f1,alpha\n")
         for row in log:
             fh.write(

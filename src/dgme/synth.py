@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from dgme._meta import format_meta
 from dgme._resample import resize_bilinear, sample_bilinear
 from dgme.errors import DataError
 from dgme.videoio import FrameSequence, write_y8seq
@@ -273,9 +274,8 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     header = dict(meta or {})
     header.setdefault("seed", seed)
     header.setdefault("domain", domain)
-    parts = " ".join(f"{k}={v}" for k, v in header.items())
     with open(out_dir / "annotations.csv", "w", newline="\n") as fh:
-        fh.write(f"# dgme-corpus {parts}\n")
+        fh.write(f"# {format_meta('corpus', header)}\n")
         fh.write("clip_path,label\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerows(rows)

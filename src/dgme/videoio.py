@@ -1,4 +1,4 @@
-"""Clip loading, temporal sampling, and preprocessing.
+"""Clip loading and temporal sampling.
 
 Supported sources:
   - ``.y8seq`` files: magic ``Y8SQ``, then width, height, frame_count as
@@ -14,7 +14,6 @@ never survives past this module.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,27 +79,6 @@ class SamplingSpec:
         return (self.frames_per_clip - 1) * self.frame_interval + 1
 
 
-@dataclass
-class AugmentSpec:
-    """Training-time augmentation: clip-consistent scale crop plus
-    brightness/contrast jitter, deterministic given (rng_seed, clip_id)."""
-
-    enabled: bool = True
-    scale_range: tuple[float, float] = (1.0, 1.0)
-    brightness_jitter: float = 0.0
-    contrast_jitter: float = 0.0
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("scale_range must satisfy 0 < low <= high")
-        for name in ("brightness_jitter", "contrast_jitter"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ValueError(f"{name} must be in [0, 1)")
-
-
 def write_y8seq(seq: FrameSequence, path) -> None:
     """Write a clip in the bit-exact ``.y8seq`` binary format."""
     path = Path(path)
@@ -123,6 +101,8 @@ def read_y8seq(path) -> FrameSequence:
     if data[:4] != Y8SEQ_MAGIC:
         raise DataError(f"bad magic in {path}: expected {Y8SEQ_MAGIC!r}, got {data[:4]!r}")
     width, height, count = struct.unpack("<III", data[4:16])
+    if count < 2:
+        raise DataError(f"{path} holds {count} frames, a clip needs at least 2")
     expected = 16 + width * height * count
     if len(data) != expected:
         raise DataError(
@@ -243,45 +223,3 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
         frame = _center_crop(frame, spec.target_size)
         out.append(np.round(frame).clip(0, 255).astype(np.uint8))
     return FrameSequence(np.stack(out), clip_id=clip_id)
-
-
-def _clip_rng(seed: int, clip_id: str) -> np.random.Generator:
-    """Per-clip RNG derived from a stable hash of (seed, clip_id)."""
-    digest = hashlib.sha256(f"{seed}:{clip_id}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
-def preprocess_train(seq: FrameSequence, aug: AugmentSpec) -> FrameSequence:
-    """Apply one clip-consistent random scale crop and intensity jitter.
-
-    Every frame of the clip receives the same transform; the transform is
-    deterministic given (aug.rng_seed, seq.clip_id). Output keeps the
-    input frame size. Contrast is multiplicative about 128, brightness is
-    additive, so each pixel maps to clamp(round(p * c + b)) for
-    clip-constant c and b.
-    """
-    if not aug.enabled:
-        raise ValueError("preprocess_train requires aug.enabled")
-    rng = _clip_rng(aug.rng_seed, seq.clip_id)
-    size = seq.height
-    if seq.width != size:
-        raise DataError(f"preprocess_train expects square frames, got {seq.height}x{seq.width}")
-
-    # draw order is part of the determinism contract: scale, x, y, contrast, brightness
-    lo, hi = aug.scale_range
-    scale = float(rng.uniform(lo, hi))
-    crop = min(size, max(1, int(round(size * scale))))
-    max_off = size - crop
-    x0 = int(rng.integers(0, max_off + 1))
-    y0 = int(rng.integers(0, max_off + 1))
-    contrast = 1.0 + float(rng.uniform(-aug.contrast_jitter, aug.contrast_jitter))
-    brightness = float(rng.uniform(-aug.brightness_jitter, aug.brightness_jitter)) * 255.0
-
-    out = []
-    for frame in seq.frames:
-        f = frame[y0 : y0 + crop, x0 : x0 + crop].astype(np.float64)
-        if crop != size:
-            f = resize_bilinear(f, size, size)
-        f = contrast * (f - 128.0) + 128.0 + brightness
-        out.append(np.round(f).clip(0, 255).astype(np.uint8))
-    return FrameSequence(np.stack(out), clip_id=seq.clip_id)

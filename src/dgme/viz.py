@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from dgme._meta import format_meta
 from dgme.descriptor import DgmeConfig
 from dgme.errors import DataError
 
@@ -160,7 +161,4 @@ def grid_svg(values: np.ndarray, cfg: DgmeConfig, meta: dict | None = None,
 
 
 def _meta_comment(meta: dict | None) -> str:
-    if not meta:
-        return ""
-    parts = " ".join(f"{k}={v}" for k, v in meta.items())
-    return f"<!-- dgme-viz {parts} -->"
+    return f"<!-- {format_meta('viz', meta)} -->" if meta else ""

@@ -30,7 +30,8 @@ from dgme.evaluation import (
     load_schema,
     stratified_split,
 )
-from dgme.flow import FarnebackConfig, PolarFlow, block_match_flow, farneback_flow
+from dgme.flow import FarnebackConfig, PolarFlow, farneback_flow
+from oracles import block_match_descriptor
 from test_model import gradient_check_instances
 
 CFG = DgmeConfig()
@@ -73,11 +74,10 @@ def test_acceptance_1_descriptor_oracle():
     start = time.monotonic()
     ok_block = total_block = 0
     ok_farn = total_farn = 0
-    block_fn = lambda a, b: block_match_flow(a, b, block=8, search_radius=7)
     for label in ("pan", "tilt", "zoom"):
         for seed in range(40):
             clip, sign = _criterion1_clip(label, seed)
-            desc_b = compute_dgme(clip, CFG, flow_fn=block_fn)
+            desc_b = block_match_descriptor(clip, CFG, block=8, search_radius=7)
             desc_f = compute_dgme(clip, CFG, flow_cfg=FarnebackConfig())
             cells_b = desc_b.values.reshape(9, 13)[:, :12].argmax(axis=1)
             cells_f = desc_f.values.reshape(9, 13)[:, :12].argmax(axis=1)

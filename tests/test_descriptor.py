@@ -20,7 +20,8 @@ from dgme.descriptor import (
     write_stats_json,
 )
 from dgme.errors import DataError
-from dgme.flow import FarnebackConfig, PolarFlow, block_match_flow
+from dgme.flow import FarnebackConfig, PolarFlow
+from oracles import block_match_descriptor
 
 CFG = DgmeConfig()
 
@@ -113,7 +114,7 @@ def test_pan_right_clip_block_oracle_argmax_bin_zero():
     spec = synth.SynthSpec("pan", frames=6, size=96, motion_magnitude=2.0,
                            direction_sign=1, texture_seed=5)
     clip = synth.make_clip(spec)
-    desc = compute_dgme(clip, CFG, flow_fn=lambda a, b: block_match_flow(a, b))
+    desc = block_match_descriptor(clip, CFG)
     cells = desc.values.reshape(9, 13)
     assert np.all(cells[:, :12].argmax(axis=1) == 0)
 
@@ -125,7 +126,7 @@ def test_integer_shift_clips_concentrate_directional_mass(label, sign, bin_):
     spec = synth.SynthSpec(label, frames=6, size=96, motion_magnitude=3.0,
                            direction_sign=sign, texture_seed=11)
     clip = synth.make_clip(spec)
-    desc = compute_dgme(clip, CFG, flow_fn=lambda a, b: block_match_flow(a, b))
+    desc = block_match_descriptor(clip, CFG)
     cells = desc.values.reshape(9, 13)
     directional = cells[:, :12].sum()
     assert cells[:, bin_].sum() / directional >= 0.99

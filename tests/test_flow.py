@@ -5,15 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import blurred_noise
 from dgme.errors import DataError
-from dgme.flow import (
-    FarnebackConfig,
-    FlowField,
-    block_match_flow,
-    cart2polar,
-    farneback_flow,
-    read_flo,
-    write_flo,
-)
+from dgme.flow import FarnebackConfig, FlowField, cart2polar, farneback_flow
+from oracles import block_match_flow
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +152,7 @@ def test_estimators_agree_on_integer_translation(texture128):
 
 
 # ---------------------------------------------------------------------------
-# config validation and flow dumps
+# config validation
 # ---------------------------------------------------------------------------
 
 def test_farneback_config_validation():
@@ -171,17 +164,3 @@ def test_farneback_config_validation():
         FarnebackConfig(poly_n=2)
     with pytest.raises(ValueError):
         FarnebackConfig(pyramid_levels=0)
-
-
-def test_flo_round_trip_and_header(tmp_path):
-    rng = np.random.default_rng(4)
-    field = FlowField(rng.normal(size=(5, 6)), rng.normal(size=(5, 6)))
-    path = tmp_path / "f.flo"
-    write_flo(field, path)
-    data = path.read_bytes()
-    assert data[:4] == b"FLO1"
-    assert int.from_bytes(data[4:8], "little") == 6
-    assert int.from_bytes(data[8:12], "little") == 5
-    assert len(data) == 16 + 2 * 4 * 30
-    back = read_flo(path)
-    assert np.array_equal(back.u, field.u) and np.array_equal(back.v, field.v)

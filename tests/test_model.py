@@ -7,13 +7,12 @@ from dgme.model import (
     LabeledFeatures,
     StubEmbeddingProvider,
     TrainConfig,
+    _standardize,
     backward,
     cosine_lr,
-    cross_entropy,
-    fusion_forward,
     init_params,
-    layer_norm,
     load_model_json,
+    predict,
     save_model_json,
     softmax,
     stub_embedding,
@@ -32,26 +31,35 @@ def _params(rng, num_classes=3, c=4, d=6, alpha=None):
     return p
 
 
+def _probs(e, d, params):
+    """Class probabilities of one clip, read back from the per-label loss."""
+    k = len(params.class_names)
+    losses = [backward(np.atleast_2d(e), np.atleast_2d(d), np.array([c]), params)[0]
+              for c in range(k)]
+    return np.exp(-np.array(losses))
+
+
+def _one_clip(e, d):
+    return LabeledFeatures(["x"], np.atleast_2d(d), np.zeros(1), ["a", "b"],
+                           backbone=np.atleast_2d(e))
+
+
 # ---------------------------------------------------------------------------
 # layer norm
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_constant_input_is_zero():
-    out = layer_norm(np.full(8, 3.5), np.ones(8), np.zeros(8))
-    assert np.allclose(out, 0.0)
+    assert np.allclose(_standardize(np.full(8, 3.5)), 0.0)
 
 
 def test_layer_norm_already_standardized():
     x = np.array([1.0, -1.0])
-    out = layer_norm(x, np.ones(2), np.zeros(2), eps=1e-300)
-    assert np.allclose(out, x, atol=1e-9)
+    assert np.allclose(_standardize(x, eps=1e-300), x, atol=1e-9)
 
 
 def test_layer_norm_output_mean_zero():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=32)
-    out = layer_norm(x, np.ones(32), np.zeros(32))
-    assert abs(out.mean()) < 1e-9
+    assert abs(_standardize(rng.normal(size=32)).mean()) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +70,15 @@ def test_zero_weights_give_uniform_probs():
     p = init_params([f"c{i}" for i in range(5)], 2, 4, seed=0)
     p.W = np.zeros_like(p.W)
     p.b = np.zeros_like(p.b)
-    probs = fusion_forward(np.ones(2), np.arange(4.0), p)
-    assert np.allclose(probs, 0.2)
+    assert np.allclose(_probs(np.ones(2), np.arange(4.0), p), 0.2)
 
 
 def test_alpha_zero_gates_out_descriptor():
     rng = np.random.default_rng(1)
     p = _params(rng, alpha=0.0)
     e = rng.normal(size=4)
-    a = fusion_forward(e, rng.normal(size=6), p)
-    b = fusion_forward(e, rng.normal(size=6), p)
+    a = _probs(e, rng.normal(size=6), p)
+    b = _probs(e, rng.normal(size=6), p)
     assert np.allclose(a, b)
 
 
@@ -81,8 +88,8 @@ def test_constant_descriptor_matches_alpha_zero():
     # with a constant descriptor, LN outputs ln_bias regardless of the value,
     # so predictions change only through the fixed bias contribution
     e = rng.normal(size=4)
-    a = fusion_forward(e, np.full(6, 9.0), p)
-    b = fusion_forward(e, np.full(6, -3.0), p)
+    a = _probs(e, np.full(6, 9.0), p)
+    b = _probs(e, np.full(6, -3.0), p)
     assert np.allclose(a, b)
 
 
@@ -102,44 +109,46 @@ def test_argmax_invariant_to_joint_positive_scaling():
     scaled = p.copy()
     scaled.W = p.W * 3.7
     scaled.b = p.b * 3.7
-    for _ in range(20):
-        e = rng.normal(size=4)
-        d = rng.normal(size=6)
-        assert fusion_forward(e, d, p).argmax() == fusion_forward(e, d, scaled).argmax()
+    feats = LabeledFeatures([f"x{i}" for i in range(20)], rng.normal(size=(20, 6)),
+                            np.zeros(20), p.class_names, backbone=rng.normal(size=(20, 4)))
+    assert np.array_equal(predict(feats, p), predict(feats, scaled))
 
 
 def test_dimension_mismatch_errors():
     p = init_params(["a", "b"], 2, 3, seed=0)
     with pytest.raises(DataError, match="embedding dim"):
-        fusion_forward(np.zeros(5), np.zeros(3), p)
+        predict(_one_clip(np.zeros(5), np.zeros(3)), p)
     with pytest.raises(DataError, match="descriptor dim"):
-        fusion_forward(np.zeros(2), np.zeros(7), p)
+        predict(_one_clip(np.zeros(2), np.zeros(7)), p)
 
 
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
 
+def _loss(logit_bias, label):
+    """Loss of one clip under a head whose logits are exactly ``logit_bias``."""
+    k = len(logit_bias)
+    p = init_params([f"c{i}" for i in range(k)], 0, 3, seed=0)
+    p.W = np.zeros_like(p.W)
+    p.b = np.asarray(logit_bias, dtype=np.float64)
+    loss, _ = backward(np.zeros((1, 0)), np.arange(3.0)[None, :], np.array([label]), p)
+    return loss
+
+
 def test_cross_entropy_uniform():
-    assert cross_entropy(np.full(5, 0.2), 3) == pytest.approx(np.log(5.0), abs=1e-12)
+    assert _loss(np.zeros(5), 3) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_cross_entropy_confident():
-    probs = np.zeros(4)
-    probs[2] = 1.0
-    assert cross_entropy(probs, 2) == 0.0
+    # exp(-1000) underflows to 0, so the true class holds probability exactly 1
+    assert _loss([0.0, 0.0, 1000.0, 0.0], 2) == 0.0
 
 
 def test_cross_entropy_floor():
-    probs = np.zeros(4)
-    probs[0] = 1.0
-    assert cross_entropy(probs, 1) == pytest.approx(-np.log(1e-12), rel=1e-9)
-    assert cross_entropy(probs, 1) == pytest.approx(27.631, abs=1e-3)
-
-
-def test_cross_entropy_index_range():
-    with pytest.raises(ValueError, match="out of range"):
-        cross_entropy(np.full(3, 1 / 3), 3)
+    logits = [1000.0, 0.0, 0.0, 0.0]
+    assert _loss(logits, 1) == pytest.approx(-np.log(1e-12), rel=1e-9)
+    assert _loss(logits, 1) == pytest.approx(27.631, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from dgme import synth
 from dgme.errors import DataError
-from dgme.flow import block_match_flow
 from dgme.videoio import read_y8seq
+from oracles import block_match_flow
 
 
 def _clip(label, **kw):

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from dgme._resample import resize_bilinear
 from dgme.errors import DataError
 from dgme.videoio import (
-    AugmentSpec,
     FrameSequence,
     SamplingSpec,
-    _clip_rng,
     load_clip,
-    preprocess_train,
     read_y8seq,
     write_y8seq,
 )
@@ -192,63 +189,8 @@ def test_load_clip_is_deterministic(tmp_path):
     assert np.array_equal(a.frames, b.frames)
 
 
-# ---------------------------------------------------------------------------
-# training augmentation
-# ---------------------------------------------------------------------------
-
-def test_degenerate_augmentation_is_identity():
-    rng = np.random.default_rng(5)
-    seq = _seq(rng.integers(0, 256, size=(3, 10, 10)), "aug")
-    aug = AugmentSpec(enabled=True, scale_range=(1.0, 1.0), brightness_jitter=0.0,
-                      contrast_jitter=0.0, rng_seed=9)
-    out = preprocess_train(seq, aug)
-    assert np.array_equal(out.frames, seq.frames)
-
-
-def test_augmentation_deterministic_per_seed_and_clip():
-    rng = np.random.default_rng(5)
-    seq = _seq(rng.integers(0, 256, size=(3, 16, 16)), "clip-a")
-    aug = AugmentSpec(enabled=True, scale_range=(0.7, 1.0), brightness_jitter=0.2,
-                      contrast_jitter=0.2, rng_seed=11)
-    a = preprocess_train(seq, aug)
-    b = preprocess_train(seq, aug)
-    assert np.array_equal(a.frames, b.frames)
-    other = preprocess_train(_seq(seq.frames, "clip-b"), aug)
-    assert not np.array_equal(a.frames, other.frames)
-
-
-def test_augmentation_jitter_matches_seeded_rng_trace():
-    # oracle: replay the documented draw order from the same per-clip RNG
-    # (scale, x, y, contrast, brightness) and apply the affine map directly
-    rng = np.random.default_rng(2)
-    seq = _seq(rng.integers(0, 256, size=(2, 12, 12)), "jit")
-    aug = AugmentSpec(enabled=True, scale_range=(1.0, 1.0), brightness_jitter=0.2,
-                      contrast_jitter=0.1, rng_seed=33)
-    out = preprocess_train(seq, aug)
-
-    trace = _clip_rng(33, "jit")
-    trace.uniform(1.0, 1.0)      # scale
-    trace.integers(0, 1)         # x offset
-    trace.integers(0, 1)         # y offset
-    c = 1.0 + trace.uniform(-0.1, 0.1)
-    b = trace.uniform(-0.2, 0.2) * 255.0
-    expected = np.round(seq.frames.astype(np.float64) * c + (128.0 * (1.0 - c) + b))
-    expected = expected.clip(0, 255).astype(np.uint8)
-    assert np.array_equal(out.frames, expected)
-
-
-def test_augmentation_requires_enabled():
-    seq = _seq(np.zeros((2, 8, 8)))
-    with pytest.raises(ValueError, match="enabled"):
-        preprocess_train(seq, AugmentSpec(enabled=False))
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         SamplingSpec(frames_per_clip=1)
-    with pytest.raises(ValueError):
-        AugmentSpec(scale_range=(1.2, 0.8))
-    with pytest.raises(ValueError):
-        AugmentSpec(brightness_jitter=1.0)
     with pytest.raises(ValueError):
         FrameSequence(np.zeros((1, 4, 4), dtype=np.uint8))

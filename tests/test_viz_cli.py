@@ -1,13 +1,17 @@
 """Visualization output and command-line surface tests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
+import dgme
 from dgme import synth
+from dgme._meta import format_meta, parse_meta
 from dgme.cli import main
 from dgme.descriptor import DgmeConfig, read_features_csv
+from dgme.evaluation import read_annotations_csv
 from dgme.viz import aggregate_bins, grid_arrow_angles, grid_svg, rose_geometry, rose_svg
 
 CFG = DgmeConfig()
@@ -288,3 +292,90 @@ def test_cli_artifacts_embed_metadata(mini_corpus):
     first = features.read_text().splitlines()[0]
     assert first.startswith("# dgme-features")
     assert "version=" in first and "seed=5" in first and "config_hash=" in first
+
+
+def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
+    # two runs of the same code cannot catch a drift of the format itself,
+    # so the first line of each metadata-bearing artifact kind is pinned
+    corpus = mini_corpus / "corpus"
+    features = mini_corpus / "features.csv"
+    splits = tmp_path / "splits"
+    assert main(["split", "--ann", str(corpus / "annotations.csv"), "--schema", "modern4",
+                 "--seed", "5", "--out-dir", str(splits)]) == 0
+    assert main(["stats", "--features", str(features), "--out", str(tmp_path / "s.json"),
+                 "--seed", "5"]) == 0
+    assert main(["normalize", "--features", str(features), "--stats", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "cal.csv")]) == 0
+    assert main(["train", "--features", str(features), "--train", str(splits / "train.csv"),
+                 "--val", str(splits / "val.csv"), "--schema", "modern4", "--seed", "5",
+                 "--out", str(tmp_path / "m.json"), "--log", str(tmp_path / "log.csv"),
+                 "--epochs", "1"]) == 0
+    assert main(["eval", "--split", str(splits / "test.csv"), "--schema", "modern4",
+                 "--model", str(tmp_path / "m.json"), "--features", str(features),
+                 "--out-metrics", str(tmp_path / "mm.json"),
+                 "--out-confusion", str(tmp_path / "cm.csv")]) == 0
+    assert main(["viz", "rose", "--features", str(features), "--label", "pan",
+                 "--out", str(tmp_path / "rose.svg")]) == 0
+
+    v = dgme.__version__
+    expected = {
+        corpus / "annotations.csv": f"# dgme-corpus version={v} seed=5 domain=modern",
+        features: f"# dgme-features version={v} seed=5 config_hash=db5120ef2e5d domain=modern",
+        tmp_path / "cal.csv": f"# dgme-features version={v} seed=5 config_hash=db5120ef2e5d "
+                              "domain=modern calibrated=true",
+        splits / "train.csv": f"# dgme-annotations version={v} seed=5 schema=modern4 "
+                              "domain=modern",
+        tmp_path / "cm.csv": f"# dgme-confusion version={v} seed=5 schema=modern4",
+        tmp_path / "log.csv": f"# dgme-trainlog version={v} seed=5 config_hash=db5120ef2e5d",
+    }
+    for path, line in expected.items():
+        assert path.read_text().splitlines()[0] == line, path.name
+    assert (tmp_path / "rose.svg").read_text().splitlines()[1] == (
+        f"<!-- dgme-viz version={v} seed=5 config_hash=db5120ef2e5d -->"
+    )
+
+    # the readers parse what the writer wrote, values as strings
+    meta = {"version": v, "seed": 5, "config_hash": "db5120ef2e5d", "domain": "modern"}
+    as_text = {k: str(val) for k, val in meta.items()}
+    assert parse_meta("# " + format_meta("features", meta)) == as_text
+    assert read_features_csv(features)[0] == as_text
+    assert read_annotations_csv(splits / "train.csv")[0] == {
+        "version": v, "seed": "5", "schema": "modern4", "domain": "modern"}
+
+
+def _features_file(tmp_path, *rows):
+    path = tmp_path / "features.csv"
+    path.write_text("# dgme-features seed=0\nclip_id,label,f0,f1\n"
+                    + "".join(row + "\n" for row in rows))
+    return ["stats", "--features", str(path), "--out", str(tmp_path / "s.json")]
+
+
+def _y8seq_corpus(tmp_path, *clips):
+    """Corpus of (relative path, frame count, label) clips of 16x16 black frames."""
+    for rel, count, _ in clips:
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"Y8SQ" + struct.pack("<III", 16, 16, count) + bytes(256 * count))
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("clip_path,label\n" + "".join(f"{rel},{label}\n" for rel, _, label in clips))
+    return ["extract", "--ann", str(ann), "--out", str(tmp_path / "f.csv"),
+            "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,0.3"), "row 2"),
+    (lambda t: _features_file(t, "a,pan,0.1,abc", "b,pan,0.3,0.4"), "row 1 (a)"),
+    (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,nan,0.4"), "row 2 (b)"),
+    (lambda t: _features_file(t, "a,pan,inf,0.2", "b,pan,0.3,0.4"), "row 1 (a)"),
+    (lambda t: _y8seq_corpus(t, ("c0.y8seq", 0, "pan")), "0 frames"),
+    (lambda t: _y8seq_corpus(t, ("c0.y8seq", 1, "pan")), "1 frames"),
+    (lambda t: _y8seq_corpus(t, ("a/c0.y8seq", 2, "pan"), ("b/c0.y8seq", 2, "tilt")),
+     "row 2: clip id 'c0'"),
+], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell",
+        "zero-frame-clip", "one-frame-clip", "duplicate-clip-id"])
+def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
+    rc = main(make_args(tmp_path))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert message in err[0]
