@@ -152,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bins", type=int, default=12)
     p.add_argument("--grid", dest="grid_cells", type=int, default=3)
-    p.add_argument("--mthr", type=float, default=0.5)
     p.set_defaults(func=cmd_viz)
 
     return parser
@@ -194,8 +193,7 @@ def cmd_synth(args) -> int:
 def _extract_one(task):
     index, clip_path, sampling, dcfg, fcfg = task
     seq = load_clip(clip_path, sampling)
-    desc = dsc.compute_dgme(seq, dcfg, fcfg)
-    return index, desc.values
+    return index, dsc.compute_dgme(seq, dcfg, fcfg)
 
 
 def cmd_extract(args) -> int:
@@ -229,48 +227,44 @@ def cmd_extract(args) -> int:
     else:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_extract_one, tasks, chunksize=8)
-    results.sort(key=lambda r: r[0])
-
-    descriptors = [
-        dsc.DgmeDescriptor(values, clip_id=cid, config_hash=cfg_hash)
-        for cid, (_, values) in zip(clip_ids, results)
-    ]
+    matrix = np.array([values for _, values in results]).reshape(-1, dcfg.length)
     labels = [label for _, label in rows]
-    dsc.write_features_csv(args.out, descriptors, labels,
+    dsc.write_features_csv(args.out, list(clip_ids), labels, matrix,
                            _out_meta(args.seed, cfg_hash, source=meta))
-    print(f"wrote {len(descriptors)} descriptors to {args.out}")
+    print(f"wrote {len(tasks)} descriptors to {args.out}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
+    meta, _, _, matrix = dsc.read_features_csv(args.features)
     cfg_hash = meta.get("config_hash", "")
-    if matrix.shape[0] < 2:
-        raise DataError(f"need >= 2 feature rows to fit statistics, have {matrix.shape[0]}")
-    descs = [dsc.DgmeDescriptor(matrix[i], clip_ids[i], cfg_hash) for i in range(len(clip_ids))]
-    stats = dsc.fit_stats(descs)
+    stats = dsc.fit_stats(matrix, cfg_hash)
     dsc.write_stats_json(args.out, stats, _out_meta(args.seed, cfg_hash, source=meta))
     print(f"fitted statistics on {stats.source_count} descriptors -> {args.out}")
     return 0
 
 
+def _calibrate(features_path, meta: dict, matrix: np.ndarray, stats_path) -> np.ndarray:
+    """Z-score a features table read from ``features_path`` with the
+    statistics at ``stats_path``, refusing calibrated or mismatched tables."""
+    if meta.get("calibrated") == "true":
+        raise DataError(f"features {features_path} are already calibrated")
+    stats, _ = dsc.read_stats_json(stats_path)
+    if meta.get("config_hash", "") != stats.config_hash:
+        raise DataError(
+            f"config hash mismatch: features {meta.get('config_hash', '')} "
+            f"vs stats {stats.config_hash}"
+        )
+    return dsc.apply_zscore(matrix, stats)
+
+
 def cmd_normalize(args) -> int:
     meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
-    if meta.get("calibrated") == "true":
-        raise DataError(f"features {args.features} are already calibrated")
-    stats, _ = dsc.read_stats_json(args.stats)
-    cfg_hash = meta.get("config_hash", "")
-    if cfg_hash != stats.config_hash:
-        raise DataError(
-            f"config hash mismatch: features {cfg_hash} vs stats {stats.config_hash}"
-        )
-    calibrated = [
-        dsc.DgmeDescriptor(dsc.apply_zscore(matrix[i], stats), clip_ids[i], cfg_hash)
-        for i in range(len(clip_ids))
-    ]
-    out_meta = _out_meta(int(meta.get("seed", 0)), cfg_hash, source=meta, calibrated="true")
-    dsc.write_features_csv(args.out, calibrated, labels, out_meta)
-    print(f"calibrated {len(calibrated)} rows -> {args.out}")
+    calibrated = _calibrate(args.features, meta, matrix, args.stats)
+    out_meta = _out_meta(int(meta.get("seed", 0)), meta.get("config_hash", ""),
+                         source=meta, calibrated="true")
+    dsc.write_features_csv(args.out, clip_ids, labels, calibrated, out_meta)
+    print(f"calibrated {len(clip_ids)} rows -> {args.out}")
     return 0
 
 
@@ -321,25 +315,9 @@ def cmd_oversample(args) -> int:
     return 0
 
 
-def _join_features(features_path, split_path, schema, stats_path):
-    """Join a split's clip ids against a features table.
-
-    Returns (features meta, clip_ids, X matrix, y indices, calibrated flag).
-    """
-    meta, clip_ids, _, matrix = dsc.read_features_csv(features_path)
-    already = meta.get("calibrated") == "true"
-    if stats_path is not None:
-        if already:
-            raise DataError("features are already calibrated, refusing to calibrate again")
-        stats, _ = dsc.read_stats_json(stats_path)
-        if meta.get("config_hash", "") != stats.config_hash:
-            raise DataError(
-                f"config hash mismatch: features {meta.get('config_hash', '')} "
-                f"vs stats {stats.config_hash}"
-            )
-        matrix = np.stack([dsc.apply_zscore(matrix[i], stats) for i in range(matrix.shape[0])])
+def _join_split(split_path, schema, features_path, clip_ids, matrix):
+    """Rows of a features table for a split's clips: (ids, X, y indices)."""
     index = {cid: i for i, cid in enumerate(clip_ids)}
-
     _, annotated = _load_annotated(split_path, schema)
     ids, ys = [], []
     for cid, label in annotated.entries:
@@ -347,8 +325,7 @@ def _join_features(features_path, split_path, schema, stats_path):
             raise DataError(f"clip {cid} from {split_path} missing in features {features_path}")
         ids.append(cid)
         ys.append(schema.index(label))
-    X = matrix[[index[c] for c in ids]]
-    return meta, ids, X, np.array(ys, dtype=np.int64), already or stats_path is not None
+    return ids, matrix[[index[c] for c in ids]], np.array(ys, dtype=np.int64)
 
 
 def _embed_clips(clips_dir, clip_ids, seed, dim):
@@ -372,12 +349,14 @@ def cmd_train(args) -> int:
     if mode == "fusion" and args.clips is None:
         raise UsageError("--mode fusion requires --clips for backbone embeddings")
 
-    meta, train_ids, x_train, y_train, calibrated = _join_features(
-        args.features, args.train_split, schema, args.stats
-    )
-    _, val_ids, x_val, y_val, _ = _join_features(
-        args.features, args.val_split, schema, args.stats
-    )
+    meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
+    calibrated = meta.get("calibrated") == "true" or args.stats is not None
+    if args.stats is not None:
+        matrix = _calibrate(args.features, meta, matrix, args.stats)
+    train_ids, x_train, y_train = _join_split(args.train_split, schema, args.features,
+                                              clip_ids, matrix)
+    val_ids, x_val, y_val = _join_split(args.val_split, schema, args.features,
+                                        clip_ids, matrix)
 
     provider = None
     xb_train = xb_val = None
@@ -430,17 +409,16 @@ def cmd_eval(args) -> int:
         if args.model is None or args.features is None:
             raise UsageError("eval needs either --predictions or both --model and --features")
         params, model_meta = mdl.load_model_json(args.model)
-        feat_meta_raw, _, _, _ = dsc.read_features_csv(args.features)
-        precalibrated = feat_meta_raw.get("calibrated") == "true"
-        if model_meta.get("calibrated"):
-            if args.stats is None and not precalibrated:
-                raise DataError(
-                    "model was trained on calibrated features; pass --stats "
-                    "with the statistics used at training time"
-                )
-        elif args.stats is not None or precalibrated:
+        feat_meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
+        calibrated = args.stats is not None or feat_meta.get("calibrated") == "true"
+        if model_meta.get("calibrated") and not calibrated:
+            raise DataError(
+                "model was trained on calibrated features; pass --stats "
+                "with the statistics used at training time"
+            )
+        if calibrated and not model_meta.get("calibrated"):
             raise DataError("model was trained uncalibrated; evaluate on raw features")
-        feat_domain = feat_meta_raw.get("domain")
+        feat_domain = feat_meta.get("domain")
         train_domain = model_meta.get("train_domain")
         if (feat_domain and train_domain and feat_domain != train_domain
                 and not model_meta.get("calibrated")):
@@ -448,14 +426,16 @@ def cmd_eval(args) -> int:
                 f"cross-domain evaluation ({train_domain} -> {feat_domain}) "
                 "requires z-score calibration; train with --stats"
             )
-        if model_meta.get("config_hash") and feat_meta_raw.get("config_hash") \
-                and model_meta["config_hash"] != feat_meta_raw["config_hash"]:
+        if model_meta.get("config_hash") and feat_meta.get("config_hash") \
+                and model_meta["config_hash"] != feat_meta["config_hash"]:
             raise DataError(
-                f"feature config hash {feat_meta_raw['config_hash']} does not match "
+                f"feature config hash {feat_meta['config_hash']} does not match "
                 f"the hash the model was trained with ({model_meta['config_hash']})"
             )
 
-        _, ids, X, y, _ = _join_features(args.features, args.split, schema, args.stats)
+        if args.stats is not None:
+            matrix = _calibrate(args.features, feat_meta, matrix, args.stats)
+        ids, X, y = _join_split(args.split, schema, args.features, clip_ids, matrix)
         backbone = None
         if model_meta.get("mode") == "fusion":
             if args.clips is None:
@@ -482,8 +462,7 @@ def cmd_eval(args) -> int:
 
 def cmd_viz(args) -> int:
     meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
-    cfg = dsc.DgmeConfig(grid=args.grid_cells, directional_bins=args.bins,
-                         magnitude_threshold=args.mthr)
+    cfg = dsc.DgmeConfig(grid=args.grid_cells, directional_bins=args.bins)
     svg_meta = _out_meta(meta.get("seed", 0), meta.get("config_hash"))
 
     if args.kind == "rose":

@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from dgme._meta import format_meta, parse_meta
+from dgme._meta import format_meta, parse_meta, read_json, write_json
 from dgme.errors import DataError, NumericError
 from dgme.flow import FarnebackConfig, PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
@@ -63,25 +63,6 @@ class DgmeConfig:
     def bin_width(self) -> float:
         return 360.0 / self.directional_bins
 
-    def as_dict(self) -> dict:
-        return {
-            "grid": self.grid,
-            "directional_bins": self.directional_bins,
-            "magnitude_threshold": self.magnitude_threshold,
-        }
-
-
-@dataclass
-class DgmeDescriptor:
-    values: np.ndarray
-    clip_id: str
-    config_hash: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("descriptor values must be a flat vector")
-
 
 @dataclass
 class NormStats:
@@ -102,7 +83,7 @@ class NormStats:
 def config_hash(cfg: DgmeConfig, flow_cfg: FarnebackConfig) -> str:
     """Stable short hash binding features to the config that produced them."""
     payload = json.dumps(
-        {"dgme": cfg.as_dict(), "flow": flow_cfg.as_dict()},
+        {"dgme": asdict(cfg), "flow": asdict(flow_cfg)},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -147,8 +128,7 @@ def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
     return hist
 
 
-def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig,
-                          clip_id: str = "", cfg_hash: str = "") -> DgmeDescriptor:
+def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.ndarray:
     """Aggregate per-pair polar fields into one normalized descriptor."""
     if not fields:
         raise DataError("descriptor needs at least one flow field")
@@ -164,11 +144,11 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig,
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec = vec / norm
-    return DgmeDescriptor(vec, clip_id=clip_id, config_hash=cfg_hash)
+    return vec
 
 
 def compute_dgme(seq: FrameSequence, cfg: DgmeConfig,
-                 flow_cfg: FarnebackConfig | None = None) -> DgmeDescriptor:
+                 flow_cfg: FarnebackConfig | None = None) -> np.ndarray:
     """Descriptor for one clip from its consecutive sampled frame pairs."""
     flow_cfg = flow_cfg or FarnebackConfig()
     if min(seq.height, seq.width) < cfg.grid:
@@ -177,64 +157,52 @@ def compute_dgme(seq: FrameSequence, cfg: DgmeConfig,
         cart2polar(farneback_flow(seq.frames[t], seq.frames[t + 1], flow_cfg))
         for t in range(seq.frame_count - 1)
     ]
-    return descriptor_from_polar(fields, cfg, clip_id=seq.clip_id,
-                                 cfg_hash=config_hash(cfg, flow_cfg))
+    return descriptor_from_polar(fields, cfg)
 
 
-def fit_stats(descriptors: Sequence[DgmeDescriptor]) -> NormStats:
-    """Per-dimension sample mean and population standard deviation."""
-    if len(descriptors) < 2:
-        raise DataError(f"need >= 2 descriptors to fit statistics, have {len(descriptors)}")
-    ref = descriptors[0].config_hash
-    for d in descriptors:
-        if d.config_hash != ref:
-            raise DataError(
-                f"config hash mismatch while fitting stats: {d.clip_id or '<unnamed>'} "
-                f"has {d.config_hash}, expected {ref}"
-            )
-    mat = np.stack([d.values for d in descriptors])
+def fit_stats(matrix: np.ndarray, config_hash: str) -> NormStats:
+    """Per-dimension sample mean and population standard deviation of the
+    rows of a descriptor matrix."""
+    if matrix.shape[0] < 2:
+        raise DataError(f"need >= 2 descriptors to fit statistics, have {matrix.shape[0]}")
     return NormStats(
-        mean=mat.mean(axis=0),
-        std=mat.std(axis=0),  # divisor N
-        source_count=len(descriptors),
-        config_hash=ref,
+        mean=matrix.mean(axis=0),
+        std=matrix.std(axis=0),  # divisor N
+        source_count=matrix.shape[0],
+        config_hash=config_hash,
     )
 
 
-def apply_zscore(desc: DgmeDescriptor | np.ndarray, stats: NormStats) -> np.ndarray:
-    """Calibrate one descriptor: (x - mean) / max(std, eps) per dimension."""
-    values = desc.values if isinstance(desc, DgmeDescriptor) else np.asarray(desc, dtype=np.float64)
-    if values.shape != stats.mean.shape:
+def apply_zscore(x: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Calibrate one descriptor or a matrix of them row-wise:
+    (x - mean) / max(std, eps) per dimension."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != stats.mean.shape:
         raise DataError(
-            f"descriptor length {values.shape[0]} does not match stats length {stats.mean.shape[0]}"
+            f"descriptor length {x.shape[-1]} does not match stats length {stats.mean.shape[0]}"
         )
-    if isinstance(desc, DgmeDescriptor) and desc.config_hash != stats.config_hash:
-        raise DataError(
-            f"config hash mismatch: descriptor {desc.config_hash} vs stats {stats.config_hash}"
-        )
-    return (values - stats.mean) / np.maximum(stats.std, ZSCORE_EPS)
+    return (x - stats.mean) / np.maximum(stats.std, ZSCORE_EPS)
 
 
 # ---------------------------------------------------------------------------
 # on-disk formats
 # ---------------------------------------------------------------------------
 
-def write_features_csv(path, descriptors: Sequence[DgmeDescriptor],
-                       labels: Sequence[str], meta: dict) -> None:
+def write_features_csv(path, clip_ids: Sequence[str], labels: Sequence[str],
+                       matrix: np.ndarray, meta: dict) -> None:
     """Write the features table: ``clip_id,label,f0,...`` with one leading
     metadata comment line. Floats carry 9 significant digits."""
-    if len(descriptors) != len(labels):
-        raise ValueError("descriptors and labels must align")
-    for d in descriptors:
-        if not np.isfinite(d.values).all():
-            raise NumericError(f"non-finite descriptor for clip {d.clip_id}")
-    n = descriptors[0].values.shape[0] if descriptors else 0
+    if not len(clip_ids) == len(labels) == matrix.shape[0]:
+        raise ValueError("clip ids, labels and matrix rows must align")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite descriptor for clip {clip_ids[bad[0]]}")
     with open(Path(path), "w", newline="\n") as fh:
         fh.write(f"# {format_meta('features', meta)}\n")
-        header = ["clip_id", "label"] + [f"f{i}" for i in range(n)]
+        header = ["clip_id", "label"] + [f"f{i}" for i in range(matrix.shape[1])]
         fh.write(",".join(header) + "\n")
-        for d, label in zip(descriptors, labels):
-            row = [d.clip_id, label] + [FEATURE_FLOAT_FMT % v for v in d.values]
+        for cid, label, values in zip(clip_ids, labels, matrix):
+            row = [cid, label] + [FEATURE_FLOAT_FMT % v for v in values]
             fh.write(",".join(row) + "\n")
 
 
@@ -280,33 +248,26 @@ def read_features_csv(path):
 
 
 def write_stats_json(path, stats: NormStats, meta: dict) -> None:
-    payload = dict(meta)
-    payload.update(
-        {
-            "config_hash": stats.config_hash,
-            "count": stats.source_count,
-            "mean": stats.mean.tolist(),
-            "std": stats.std.tolist(),
-        }
-    )
-    with open(Path(path), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, meta, {
+        "config_hash": stats.config_hash,
+        "count": stats.source_count,
+        "mean": stats.mean.tolist(),
+        "std": stats.std.tolist(),
+    })
 
 
 def read_stats_json(path) -> tuple[NormStats, dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"stats file not found: {path}")
+    payload = read_json(path, "stats")
     try:
-        payload = json.loads(path.read_text())
         stats = NormStats(
             mean=np.array(payload["mean"], dtype=np.float64),
             std=np.array(payload["std"], dtype=np.float64),
             source_count=int(payload["count"]),
             config_hash=str(payload["config_hash"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed stats file {path}: {exc}") from exc
+    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+        raise DataError(f"stats file {path} holds a non-finite mean or std")
     meta = {k: v for k, v in payload.items() if k not in ("mean", "std", "count", "config_hash")}
     return stats, meta

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dgme._meta import format_meta, parse_meta
+from dgme._meta import format_meta, parse_meta, read_json, write_json
 from dgme.errors import DataError
 
 DROP = "DROP"
@@ -87,17 +87,20 @@ def load_schema(name: str) -> ClassSchema:
     """Load a packaged schema (``modern4`` or ``historian5``) or a JSON path."""
     candidate = Path(name)
     if candidate.suffix == ".json" and candidate.is_file():
-        payload = json.loads(candidate.read_text())
+        payload = read_json(candidate, "schema")
     else:
         ref = resources.files("dgme.schemas").joinpath(f"{name}.json")
         if not ref.is_file():
             raise DataError(f"unknown schema {name!r}")
         payload = json.loads(ref.read_text())
-    return ClassSchema(
-        name=payload["name"],
-        classes=tuple(payload["classes"]),
-        remap=dict(payload["remap"]),
-    )
+    try:
+        return ClassSchema(
+            name=payload["name"],
+            classes=tuple(payload["classes"]),
+            remap=dict(payload["remap"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed schema file {name}: {exc}") from exc
 
 
 def remap_labels(raw: list[tuple[str, str]], schema: ClassSchema) -> AnnotatedSet:
@@ -282,22 +285,16 @@ def write_annotations_csv(path, rows: list[tuple[str, str]], meta: dict) -> None
 
 
 def write_metrics_json(path, report: MetricsReport, class_names, meta: dict) -> None:
-    payload = dict(meta)
-    payload.update(
-        {
-            "accuracy": report.accuracy,
-            "per_class": [
-                {"class": c, "precision": p, "recall": r, "f1": f}
-                for c, (p, r, f) in zip(class_names, report.per_class)
-            ],
-            "macro_precision": report.macro_precision,
-            "macro_recall": report.macro_recall,
-            "macro_f1": report.macro_f1,
-        }
-    )
-    with open(Path(path), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, meta, {
+        "accuracy": report.accuracy,
+        "per_class": [
+            {"class": c, "precision": p, "recall": r, "f1": f}
+            for c, (p, r, f) in zip(class_names, report.per_class)
+        ],
+        "macro_precision": report.macro_precision,
+        "macro_recall": report.macro_recall,
+        "macro_f1": report.macro_f1,
+    })
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, meta: dict) -> None:

@@ -86,16 +86,6 @@ class FarnebackConfig:
         if self.poly_sigma <= 0:
             raise ValueError("poly_sigma must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "pyramid_levels": self.pyramid_levels,
-            "pyramid_scale": self.pyramid_scale,
-            "window_size": self.window_size,
-            "iterations": self.iterations,
-            "poly_n": self.poly_n,
-            "poly_sigma": self.poly_sigma,
-        }
-
 
 def _gaussian_kernel(half: int, sigma: float) -> np.ndarray:
     x = np.arange(-half, half + 1, dtype=np.float64)

@@ -20,13 +20,12 @@ deterministic stand-in built from intensity statistics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from dgme._meta import format_meta
+from dgme._meta import format_meta, read_json, write_json
 from dgme.descriptor import grid_cells
 from dgme.errors import DataError, NumericError
 from dgme.videoio import FrameSequence
@@ -402,34 +401,21 @@ class StubEmbeddingProvider:
 def save_model_json(path, params: FusionHeadParams, meta: dict) -> None:
     """JSON with explicit dims and row-major weights; floats round-trip
     exactly through repr."""
-    if not (np.isfinite(params.W).all() and np.isfinite(params.b).all()
-            and np.isfinite(params.ln_gain).all() and np.isfinite(params.ln_bias).all()
-            and np.isfinite(params.alpha)):
-        raise NumericError("refusing to serialize non-finite model parameters")
-    payload = dict(meta)
-    payload.update(
-        {
-            "class_names": params.class_names,
-            "backbone_dim": params.backbone_dim,
-            "descriptor_dim": params.descriptor_dim,
-            "alpha": params.alpha,
-            "ln_gain": params.ln_gain.tolist(),
-            "ln_bias": params.ln_bias.tolist(),
-            "W": params.W.tolist(),
-            "b": params.b.tolist(),
-        }
-    )
-    with open(Path(path), "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, meta, {
+        "class_names": params.class_names,
+        "backbone_dim": params.backbone_dim,
+        "descriptor_dim": params.descriptor_dim,
+        "alpha": params.alpha,
+        "ln_gain": params.ln_gain.tolist(),
+        "ln_bias": params.ln_bias.tolist(),
+        "W": params.W.tolist(),
+        "b": params.b.tolist(),
+    })
 
 
 def load_model_json(path) -> tuple[FusionHeadParams, dict]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
+    payload = read_json(path, "model")
     try:
-        payload = json.loads(path.read_text())
         params = FusionHeadParams(
             alpha=float(payload["alpha"]),
             ln_gain=np.array(payload["ln_gain"], dtype=np.float64),
@@ -440,8 +426,11 @@ def load_model_json(path) -> tuple[FusionHeadParams, dict]:
             backbone_dim=int(payload["backbone_dim"]),
             descriptor_dim=int(payload["descriptor_dim"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
+    if not all(np.isfinite(a).all() for a in
+               (params.alpha, params.ln_gain, params.ln_bias, params.W, params.b)):
+        raise DataError(f"model file {path} holds a non-finite parameter")
     keys = ("class_names", "backbone_dim", "descriptor_dim", "alpha",
             "ln_gain", "ln_bias", "W", "b")
     meta = {k: v for k, v in payload.items() if k not in keys}

@@ -71,4 +71,4 @@ def block_match_descriptor(seq, cfg, block: int = 8, search_radius: int = 7):
         cart2polar(block_match_flow(seq.frames[t], seq.frames[t + 1], block, search_radius))
         for t in range(seq.frame_count - 1)
     ]
-    return descriptor_from_polar(fields, cfg, clip_id=seq.clip_id)
+    return descriptor_from_polar(fields, cfg)

@@ -79,8 +79,8 @@ def test_acceptance_1_descriptor_oracle():
             clip, sign = _criterion1_clip(label, seed)
             desc_b = block_match_descriptor(clip, CFG, block=8, search_radius=7)
             desc_f = compute_dgme(clip, CFG, flow_cfg=FarnebackConfig())
-            cells_b = desc_b.values.reshape(9, 13)[:, :12].argmax(axis=1)
-            cells_f = desc_f.values.reshape(9, 13)[:, :12].argmax(axis=1)
+            cells_b = desc_b.reshape(9, 13)[:, :12].argmax(axis=1)
+            cells_f = desc_f.reshape(9, 13)[:, :12].argmax(axis=1)
             if label == "zoom":
                 expected = _ZOOM_CORNERS[sign]
                 for cell, bin_ in expected.items():
@@ -127,15 +127,15 @@ def test_acceptance_2_descriptor_invariants():
         polar = _random_polar(rng)
         desc = descriptor_from_polar([polar], CFG)
         unit_ok += bool(
-            np.all(desc.values >= 0.0)
-            and abs(np.linalg.norm(desc.values) - 1.0) <= 1e-6
+            np.all(desc >= 0.0)
+            and abs(np.linalg.norm(desc) - 1.0) <= 1e-6
         )
 
         strong = _random_polar(rng, above_only=True)
         rotated = PolarFlow(strong.m.copy(),
                             (strong.theta.astype(np.float64) + 30.0) % 360.0)
-        base = descriptor_from_polar([strong], CFG).values.reshape(9, 13)
-        rot = descriptor_from_polar([rotated], CFG).values.reshape(9, 13)
+        base = descriptor_from_polar([strong], CFG).reshape(9, 13)
+        rot = descriptor_from_polar([rotated], CFG).reshape(9, 13)
         rot_ok += bool(
             np.allclose(rot[:, :12], np.roll(base[:, :12], 1, axis=1))
             and np.allclose(rot[:, 12], base[:, 12])
@@ -151,7 +151,7 @@ def test_acceptance_2_descriptor_invariants():
         h = int(rng.integers(9, 24))
         w = int(rng.integers(9, 24))
         still = PolarFlow(np.zeros((h, w)), np.zeros((h, w)))
-        vals = descriptor_from_polar([still], CFG).values.reshape(9, 13)
+        vals = descriptor_from_polar([still], CFG).reshape(9, 13)
         static_ok += bool(np.all(vals[:, :12] == 0.0) and np.all(vals[:, 12] > 0.0))
 
     ok = unit_ok == rot_ok == mono_ok == static_ok == cases
@@ -268,14 +268,14 @@ def _extract_set(corpus_dir: Path, rows, sampling) -> tuple:
         seq = load_clip(corpus_dir / rel, sampling)
         ids.append(seq.clip_id)
         labels.append(label)
-        vecs.append(compute_dgme(seq, CFG, FarnebackConfig()).values)
+        vecs.append(compute_dgme(seq, CFG, FarnebackConfig()))
     return ids, labels, np.stack(vecs)
 
 
 def _ablation_macro_f1(seed: int, root: Path) -> tuple[float, float]:
     """Train on clean clips, evaluate on degraded clips, with and without
     z-score calibration by the clean-training statistics."""
-    from dgme.descriptor import DgmeDescriptor, apply_zscore, fit_stats
+    from dgme.descriptor import apply_zscore, fit_stats
     from dgme.evaluation import confusion_from_indices, metrics_from_confusion
     from dgme.model import LabeledFeatures, TrainConfig, predict, train
     from dgme.videoio import SamplingSpec
@@ -300,7 +300,7 @@ def _ablation_macro_f1(seed: int, root: Path) -> tuple[float, float]:
     y_mod = np.array([schema.index(l) for l in mod_labels])
     y_hist = np.array([schema.index(l) for l in hist_labels])
 
-    stats = fit_stats([DgmeDescriptor(mod_x[i], mod_ids[i], "h") for i in tr_idx])
+    stats = fit_stats(mod_x[tr_idx], "h")
     results = []
     for calibrate in (True, False):
         def tx(matrix):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from dgme.errors import DataError
+from dgme.errors import DataError, NumericError
 from dgme.model import (
     FusionHeadParams,
     LabeledFeatures,
@@ -357,3 +359,20 @@ def test_model_json_exact_round_trip(tmp_path):
     assert np.array_equal(back.ln_bias, p.ln_bias)
     assert back.class_names == p.class_names
     assert meta["mode"] == "fusion" and meta["seed"] == 1
+
+
+def test_model_json_refuses_non_finite(tmp_path):
+    p = _params(np.random.default_rng(9))
+    p.W[0, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        save_model_json(tmp_path / "nan.json", p, {})
+    assert not (tmp_path / "nan.json").exists()
+    # 1e999 parses to inf without a NaN/Infinity token
+    p.W[0, 0] = 0.0
+    save_model_json(tmp_path / "m.json", p, {})
+    payload = json.loads((tmp_path / "m.json").read_text())
+    payload["alpha"] = "@"
+    text = json.dumps(payload).replace('"@"', "1e999")
+    (tmp_path / "m.json").write_text(text)
+    with pytest.raises(DataError, match="non-finite"):
+        load_model_json(tmp_path / "m.json")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dgme
+import dgme.descriptor
 from dgme import synth
 from dgme._meta import format_meta, parse_meta
 from dgme.cli import main
@@ -362,6 +363,39 @@ def _y8seq_corpus(tmp_path, *clips):
             "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
 
 
+def _eval_model(tmp_path, weight=0.0, std=None):
+    """``eval`` of a hand-written descriptor-only head on two 2-d feature
+    rows; a ``std`` adds a stats file and marks the head calibrated."""
+    (tmp_path / "f.csv").write_text("# dgme-features seed=0 config_hash=h\n"
+                                    "clip_id,label,f0,f1\na,pan,0.1,0.2\nb,tilt,0.3,0.4\n")
+    (tmp_path / "split.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n")
+    model = {"config_hash": "h", "mode": "dgme_only", "calibrated": std is not None,
+             "class_names": ["static", "tilt", "pan", "zoom"], "backbone_dim": 0,
+             "descriptor_dim": 2, "alpha": 1.0, "ln_gain": [1.0, 1.0], "ln_bias": [0.0, 0.0],
+             "W": [[weight, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "b": [0.0] * 4}
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    args = ["eval", "--split", str(tmp_path / "split.csv"), "--schema", "modern4",
+            "--model", str(tmp_path / "m.json"), "--features", str(tmp_path / "f.csv"),
+            "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")]
+    if std is None:
+        return args
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"config_hash": "h", "count": 2, "mean": [0.0, 0.0], "std": [std, 1.0]}))
+    return args + ["--stats", str(tmp_path / "s.json")]
+
+
+def test_cli_hand_written_model_evaluates(tmp_path):
+    # the same files without a NaN evaluate cleanly, raw and calibrated
+    assert main(_eval_model(tmp_path)) == 0
+    assert main(_eval_model(tmp_path, std=2.0)) == 0
+
+
+def _schema_file(tmp_path, text):
+    (tmp_path / "schema.json").write_text(text)
+    return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", str(tmp_path / "schema.json"),
+            "--out-dir", str(tmp_path / "splits")]
+
+
 @pytest.mark.parametrize("make_args, message", [
     (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,0.3"), "row 2"),
     (lambda t: _features_file(t, "a,pan,0.1,abc", "b,pan,0.3,0.4"), "row 1 (a)"),
@@ -371,11 +405,39 @@ def _y8seq_corpus(tmp_path, *clips):
     (lambda t: _y8seq_corpus(t, ("c0.y8seq", 1, "pan")), "1 frames"),
     (lambda t: _y8seq_corpus(t, ("a/c0.y8seq", 2, "pan"), ("b/c0.y8seq", 2, "tilt")),
      "row 2: clip id 'c0'"),
+    (lambda t: _eval_model(t, weight=float("nan")), "m.json: non-finite number NaN"),
+    (lambda t: _eval_model(t, std=float("nan")), "s.json: non-finite number NaN"),
+    (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
+    (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell",
-        "zero-frame-clip", "one-frame-clip", "duplicate-clip-id"])
+        "zero-frame-clip", "one-frame-clip", "duplicate-clip-id",
+        "nan-model-weight", "nan-stats-std", "schema-without-classes", "malformed-schema"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+
+
+def test_cli_train_and_eval_read_features_once(mini_corpus, tmp_path, monkeypatch):
+    corpus = mini_corpus / "corpus"
+    features = mini_corpus / "features.csv"
+    splits, stats, model = tmp_path / "splits", tmp_path / "s.json", tmp_path / "m.json"
+    assert main(["split", "--ann", str(corpus / "annotations.csv"), "--schema", "modern4",
+                 "--seed", "5", "--out-dir", str(splits)]) == 0
+    assert main(["stats", "--features", str(features), "--out", str(stats)]) == 0
+
+    calls = []
+    read = dgme.descriptor.read_features_csv
+    monkeypatch.setattr(dgme.descriptor, "read_features_csv",
+                        lambda path: calls.append(path) or read(path))
+    assert main(["train", "--features", str(features), "--train", str(splits / "train.csv"),
+                 "--val", str(splits / "val.csv"), "--stats", str(stats), "--schema", "modern4",
+                 "--seed", "5", "--out", str(model), "--epochs", "1"]) == 0
+    assert len(calls) == 1
+    assert main(["eval", "--split", str(splits / "test.csv"), "--schema", "modern4",
+                 "--model", str(model), "--features", str(features), "--stats", str(stats),
+                 "--out-metrics", str(tmp_path / "mm.json"),
+                 "--out-confusion", str(tmp_path / "cm.csv")]) == 0
+    assert len(calls) == 2
