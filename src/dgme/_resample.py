@@ -33,7 +33,14 @@ def sample_bilinear(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
       "clamp"   out-of-range coordinates clamp to the nearest edge sample
       "reflect" coordinates mirror back into the image (no edge repeat)
     """
-    h, w = plane.shape
+    return sample_bilinear_planes((plane,), ys, xs, border)[0]
+
+
+def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray,
+                           border: str = "clamp") -> list[np.ndarray]:
+    """``sample_bilinear`` of each of several equally shaped planes at the
+    same coordinates; the neighbour indices and weights are computed once."""
+    h, w = planes[0].shape
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if border == "reflect":
@@ -52,17 +59,30 @@ def sample_bilinear(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
     x0 = np.clip(x0, 0, max(w - 2, 0))
     fy = ys - y0
     fx = xs - x0
-    y1 = np.minimum(y0 + 1, h - 1)
+    gy = 1.0 - fy
+    gx = 1.0 - fx
+    # flat indices of the four neighbours, shared by every plane
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     x1 = np.minimum(x0 + 1, w - 1)
+    i00, i01, i10, i11 = row0 + x0, row0 + x1, row1 + x0, row1 + x1
 
-    p00 = plane[y0, x0]
-    p01 = plane[y0, x1]
-    p10 = plane[y1, x0]
-    p11 = plane[y1, x1]
-    return (p00 * (1.0 - fy) * (1.0 - fx)
-            + p01 * (1.0 - fy) * fx
-            + p10 * fy * (1.0 - fx)
-            + p11 * fy * fx)
+    out = []
+    for plane in planes:
+        if plane.shape != (h, w):
+            raise ValueError(f"planes differ in shape: {plane.shape} vs {(h, w)}")
+        flat = plane.ravel()
+        # p00*(1-fy)*(1-fx) + p01*(1-fy)*fx + p10*fy*(1-fx) + p11*fy*fx in
+        # that order, the later steps in place: the same rounding for any
+        # number of planes; the first product promotes to float64
+        acc = flat.take(i00) * gy
+        acc *= gx
+        for idx, wy, wx in ((i01, gy, fx), (i10, fy, gx), (i11, fy, fx)):
+            term = flat.take(idx) * wy
+            term *= wx
+            acc += term
+        out.append(acc)
+    return out
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -215,6 +215,7 @@ def read_features_csv(path):
     clip_ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
+    first_row: dict[str, int] = {}
     with open(path, newline="") as fh:
         first = fh.readline()
         if first.startswith("#"):
@@ -237,6 +238,10 @@ def read_features_csv(path):
                 rows.append([float(v) for v in rec[2:]])
             except ValueError as exc:
                 raise DataError(f"features row {row} ({rec[0]}) in {path}: {exc}") from exc
+            if rec[0] in first_row:
+                raise DataError(f"features row {row} ({rec[0]}) repeats the clip id of row "
+                                f"{first_row[rec[0]]} in {path}")
+            first_row[rec[0]] = row
             clip_ids.append(rec[0])
             labels.append(rec[1])
     matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(cols) - 2))

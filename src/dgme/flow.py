@@ -10,6 +10,16 @@ wrapped in a coarse-to-fine pyramid with fixed-point iterations per level.
 
 All internal math is 64-bit; stored fields are 32-bit floats. The
 estimator is a pure function of its inputs.
+
+Each frame's pyramid and per-level expansion depend on that frame alone,
+and ``compute_dgme`` passes every interior frame of a clip twice, once as
+``nxt`` and then as the next pair's ``prev``. A one-entry memo holds the
+expansions of the last frame expanded, so each frame of a clip is
+expanded once. Its key is the frame's full content (bytes, shape, dtype)
+plus every config field the expansion reads, so a hit returns exactly
+what a fresh expansion would: ``farneback_flow`` stays a pure function,
+whatever was called before it. The cached arrays are read-only, and the
+memo holds at most one frame's expansions (about 2.6 MB at 224 px).
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from dgme._resample import resize_bilinear, sample_bilinear
+from dgme._resample import resize_bilinear, sample_bilinear_planes
 from dgme.errors import DataError
 
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
@@ -138,24 +148,16 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
     return a11, a22, a12, bx, by
 
 
-def _flow_iteration(exp1, exp2, u, v, window_size: int):
+def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
     """One fixed-point update of the displacement field.
 
     Warps the second image's expansion coefficients to x + d0, forms the
     per-pixel normal equations G*d = h from averaged coefficients, blurs
-    both sides with a Gaussian window, and solves the 2x2 system.
+    both sides with the Gaussian window ``win``, and solves the 2x2
+    system. ``yy``, ``xx`` are the level's pixel-coordinate grids.
     """
     a11_1, a22_1, a12_1, bx1, by1 = exp1
-    h, w = u.shape
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    fy = yy + v
-    fx = xx + u
-
-    a11_2 = sample_bilinear(exp2[0], fy, fx)
-    a22_2 = sample_bilinear(exp2[1], fy, fx)
-    a12_2 = sample_bilinear(exp2[2], fy, fx)
-    bx2 = sample_bilinear(exp2[3], fy, fx)
-    by2 = sample_bilinear(exp2[4], fy, fx)
+    a11_2, a22_2, a12_2, bx2, by2 = sample_bilinear_planes(exp2, yy + v, xx + u)
 
     a11 = 0.5 * (a11_1 + a11_2)
     a22 = 0.5 * (a22_1 + a22_2)
@@ -170,8 +172,6 @@ def _flow_iteration(exp1, exp2, u, v, window_size: int):
     h1 = a11 * db1 + a12 * db2
     h2 = a12 * db1 + a22 * db2
 
-    half = window_size // 2
-    win = _gaussian_kernel(half, max(0.3 * half, 0.5))
     planes = np.stack([g11, g12, g22, h1, h2])
     planes = correlate1d(planes, win, axis=1, mode="mirror")
     planes = correlate1d(planes, win, axis=2, mode="mirror")
@@ -194,6 +194,45 @@ def _pyramid_sizes(h: int, w: int, cfg: FarnebackConfig) -> list[tuple[int, int]
     return sizes
 
 
+def _expand_frame(frame: np.ndarray, sizes, cfg: FarnebackConfig) -> tuple:
+    """Polynomial expansion of one frame at each pyramid level (level 0 is
+    full resolution), as read-only arrays."""
+    img = frame.astype(np.float64)
+    levels = []
+    for level, (hh, ww) in enumerate(sizes):
+        if level == 0:
+            p = img
+        else:
+            # each level is built from the original image with a matched
+            # anti-alias blur, not by repeated halving
+            sigma = (1.0 / (cfg.pyramid_scale ** level) - 1.0) * 0.5
+            p = resize_bilinear(_gaussian_blur(img, sigma), hh, ww)
+        exp = _poly_expand(p, cfg.poly_n, cfg.poly_sigma)
+        for a in exp:
+            a.flags.writeable = False
+        levels.append(exp)
+    return tuple(levels)
+
+
+# (key, expansions) of the last frame expanded; replaced as one reference,
+# so concurrent callers see either the old entry or the new one
+_last_expansion = None
+
+
+def _frame_expansions(frame: np.ndarray, sizes, cfg: FarnebackConfig) -> tuple:
+    """``_expand_frame`` behind the one-entry memo described in the module
+    docstring."""
+    global _last_expansion
+    key = (frame.shape, frame.dtype.str, frame.tobytes(), tuple(sizes),
+           cfg.pyramid_scale, cfg.poly_n, cfg.poly_sigma)
+    memo = _last_expansion
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    levels = _expand_frame(frame, sizes, cfg)
+    _last_expansion = (key, levels)
+    return levels
+
+
 def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
                    cfg: FarnebackConfig | None = None) -> FlowField:
     """Dense displacement field from ``prev`` to ``nxt``.
@@ -213,22 +252,16 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
             f"frame {prev.shape} smaller than polynomial kernel support ({cfg.poly_n})"
         )
 
-    img1 = prev.astype(np.float64)
-    img2 = nxt.astype(np.float64)
-    h, w = img1.shape
+    sizes = _pyramid_sizes(*prev.shape, cfg)
+    # prev first: in a clip it is the frame the memo holds from the last pair
+    exp1 = _frame_expansions(prev, sizes, cfg)
+    exp2 = _frame_expansions(nxt, sizes, cfg)
+    half = cfg.window_size // 2
+    win = _gaussian_kernel(half, max(0.3 * half, 0.5))
 
     u = v = None
-    sizes = _pyramid_sizes(h, w, cfg)
     for level in reversed(range(len(sizes))):
         hh, ww = sizes[level]
-        if level == 0:
-            p1, p2 = img1, img2
-        else:
-            # each level is built from the original image with a matched
-            # anti-alias blur, not by repeated halving
-            sigma = (1.0 / (cfg.pyramid_scale ** level) - 1.0) * 0.5
-            p1 = resize_bilinear(_gaussian_blur(img1, sigma), hh, ww)
-            p2 = resize_bilinear(_gaussian_blur(img2, sigma), hh, ww)
         if u is None:
             u = np.zeros((hh, ww))
             v = np.zeros((hh, ww))
@@ -236,10 +269,9 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
             ph, pw = u.shape
             u = resize_bilinear(u, hh, ww) * (ww / pw)
             v = resize_bilinear(v, hh, ww) * (hh / ph)
-        exp1 = _poly_expand(p1, cfg.poly_n, cfg.poly_sigma)
-        exp2 = _poly_expand(p2, cfg.poly_n, cfg.poly_sigma)
+        yy, xx = np.mgrid[0:hh, 0:ww].astype(np.float64)
         for _ in range(cfg.iterations):
-            u, v = _flow_iteration(exp1, exp2, u, v, cfg.window_size)
+            u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx, win)
     return FlowField(u, v)
 
 

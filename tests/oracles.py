@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from dgme._resample import _reflect_coords
 from dgme.descriptor import descriptor_from_polar
 from dgme.errors import DataError
 from dgme.flow import FlowField, cart2polar
@@ -72,3 +73,29 @@ def block_match_descriptor(seq, cfg, block: int = 8, search_radius: int = 7):
         for t in range(seq.frame_count - 1)
     ]
     return descriptor_from_polar(fields, cfg)
+
+
+def sample_bilinear_2d(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
+                       border: str = "clamp") -> np.ndarray:
+    """Bilinear sampling of one plane by 2-D fancy indexing, each call
+    computing its own neighbour indices and weights (the reference the
+    shared-index sampler must match bit for bit)."""
+    h, w = plane.shape
+    ys = np.asarray(ys, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    if border == "reflect":
+        ys = _reflect_coords(ys, h)
+        xs = _reflect_coords(xs, w)
+    else:
+        ys = np.clip(ys, 0.0, float(h - 1))
+        xs = np.clip(xs, 0.0, float(w - 1))
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, max(h - 2, 0))
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, max(w - 2, 0))
+    fy = ys - y0
+    fx = xs - x0
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    return (plane[y0, x0] * (1.0 - fy) * (1.0 - fx)
+            + plane[y0, x1] * (1.0 - fy) * fx
+            + plane[y1, x0] * fy * (1.0 - fx)
+            + plane[y1, x1] * fy * fx)

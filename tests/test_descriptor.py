@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgme.descriptor
 from dgme import synth
 from dgme.descriptor import (
     DgmeConfig,
@@ -181,6 +182,52 @@ def test_pair_count_independence_under_stationarity():
     one = descriptor_from_polar([polar], CFG)
     many = descriptor_from_polar([polar] * 7, CFG)
     assert np.allclose(one, many, atol=1e-12)
+
+
+# compute_dgme of one synthetic zoom clip (12 frames, 96 px, texture seed 3)
+# as %.9g text: 9 grid cells of 12 directional bins and one static bin each,
+# recorded with the per-pair expansion and the per-plane warp
+GOLDEN_ZOOM_96 = """
+0 0 0 0 0 0 0.0565018624 0.413715655 0.0777003322 0.000767245985 0.000100767682 0
+0.000388399001 0 0 0 0 0 0 0.000341183585 0.0135317632 0.186065388 0.172295017
+0.0164025391 0.000817186712 0.00295460669 0.000187470567 0 0 0 0 0 0 0.000216751449
+0.000626146556 0.0662985835 0.440356809 0.0529038741 0 0 0 5.99126527e-05 0.00238251766
+0.0231236029 0.167995713 0.192331084 0.0145931126 0.0013778338 0 0 0 0.00159521018
+0.00359351889 0.0189156394 0.00469948851 0.00356250634 0.0197734683 0.00340786092
+0.00517155745 0.0165558456 0.00866671292 0.00625514495 0.0166267145 0.00600980935
+0.0688298516 0.170698526 0.0168557429 0.00490500859 0 0 0 0 0 0 0.000563105279
+0.0156026795 0.198322457 5.54855716e-05 0 0 0.00033842884 0.0614125566 0.413076901
+0.0611612529 0.00177356254 0 0 0 0 3.20165783e-05 0.0015674674 0.00521648769
+0.0172135198 0.165692984 0.190213564 0.0196905533 0.0010259908 0 0 0 0 0 0 0.00144262486
+0.0564973993 0.400718563 0.0786841278 0.00236381949 0.000119281372 5.59951562e-05 0 0 0
+0 0 0 0.00119293979
+"""
+
+
+def test_golden_descriptor_text_of_synthetic_zoom_clip():
+    clip = synth.make_clip(synth.SynthSpec("zoom", frames=12, size=96,
+                                           motion_magnitude=2.0, texture_seed=3))
+    desc = compute_dgme(clip, CFG)
+    assert ["%.9g" % x for x in desc] == GOLDEN_ZOOM_96.split()
+
+
+def test_compute_dgme_calls_flow_and_polar_once_per_frame_pair(monkeypatch):
+    # perfbench's tracer wraps these two module attributes and reads the
+    # frame size from the first argument: batching the pairs would break it
+    calls = {"farneback_flow": [], "cart2polar": []}
+    for name in calls:
+        fn = getattr(dgme.descriptor, name)
+        monkeypatch.setattr(dgme.descriptor, name,
+                            lambda *a, _fn=fn, _log=calls[name]: _log.append(a) or _fn(*a))
+    frames = 5
+    clip = synth.make_clip(synth.SynthSpec("pan", frames=frames, size=32, texture_seed=1))
+    compute_dgme(clip, CFG)
+    assert len(calls["farneback_flow"]) == len(calls["cart2polar"]) == frames - 1
+    for t, (prev, nxt, _cfg) in enumerate(calls["farneback_flow"]):
+        assert prev.shape == nxt.shape == (32, 32)
+        assert np.array_equal(prev, clip.frames[t]) and np.array_equal(nxt, clip.frames[t + 1])
+    for (field,) in calls["cart2polar"]:
+        assert field.u.shape == (32, 32)
 
 
 # ---------------------------------------------------------------------------

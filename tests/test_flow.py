@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blurred_noise
+from dgme import flow
+from dgme._resample import sample_bilinear, sample_bilinear_planes
 from dgme.errors import DataError
 from dgme.flow import FarnebackConfig, FlowField, cart2polar, farneback_flow
-from oracles import block_match_flow
+from oracles import block_match_flow, sample_bilinear_2d
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +100,103 @@ def test_farneback_deterministic(texture128):
     a = farneback_flow(texture128, shifted)
     b = farneback_flow(texture128, shifted)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+# ---------------------------------------------------------------------------
+# shared-index warp and the per-frame expansion memo
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 6), w=st.integers(1, 6), n_planes=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from([0.5, 3.0, 1e3, 1e9]),
+    border=st.sampled_from(["clamp", "reflect"]),
+    dtype=st.sampled_from([np.float64, np.float32, np.uint8]),
+)
+def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span, border,
+                                                      dtype):
+    # h or w of 1 or 2 collapses the 2x2 neighbourhood; a large span puts
+    # coordinates far outside the frame on every side
+    rng = np.random.default_rng(seed)
+    if dtype == np.uint8:
+        planes = [rng.integers(0, 256, size=(h, w), dtype=np.uint8) for _ in range(n_planes)]
+    else:
+        planes = [(rng.normal(size=(h, w)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+                  for _ in range(n_planes)]
+    ys = rng.uniform(-span, h - 1 + span, size=(h, w))
+    xs = rng.uniform(-span, w - 1 + span, size=(h, w))
+    shared = sample_bilinear_planes(planes, ys, xs, border)
+    assert len(shared) == n_planes
+    for plane, warped in zip(planes, shared):
+        reference = sample_bilinear_2d(plane, ys, xs, border)
+        assert np.array_equal(warped, sample_bilinear(plane, ys, xs, border))
+        assert np.array_equal(warped, reference)
+
+
+def test_shared_index_warp_refuses_mismatched_planes():
+    with pytest.raises(ValueError, match="planes differ in shape"):
+        sample_bilinear_planes([np.zeros((4, 4)), np.zeros((4, 5))],
+                               np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+def _cold_flow(prev, nxt, cfg):
+    """Flow with the expansion memo emptied first."""
+    flow._last_expansion = None
+    return farneback_flow(prev, nxt, cfg)
+
+
+def _same_flow(a, b):
+    return np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+def test_memo_misses_on_other_frame_of_same_shape():
+    f = [blurred_noise(seed, 48, 48) for seed in range(4)]
+    cfg = FarnebackConfig()
+    cold = _cold_flow(f[2], f[3], cfg)
+    farneback_flow(f[0], f[1], cfg)  # the memo now holds f[1]
+    assert _same_flow(farneback_flow(f[2], f[3], cfg), cold)
+    # prev is not the frame the memo holds (f[2])
+    cold = _cold_flow(f[1], f[3], cfg)
+    farneback_flow(f[0], f[2], cfg)
+    assert _same_flow(farneback_flow(f[1], f[3], cfg), cold)
+
+
+def test_memo_misses_on_frame_mutated_in_place():
+    a, b, c = (blurred_noise(seed, 48, 48) for seed in range(3))
+    cfg = FarnebackConfig()
+    farneback_flow(a, b, cfg)  # the memo now holds b
+    b[10:20, 10:20] = 255 - b[10:20, 10:20]
+    warm = farneback_flow(b, c, cfg)
+    assert _same_flow(warm, _cold_flow(b, c, cfg))
+
+
+@pytest.mark.parametrize("change", [
+    {"poly_sigma": 1.5}, {"pyramid_levels": 2}, {"pyramid_scale": 0.6}, {"poly_n": 7},
+], ids=["poly_sigma", "pyramid_levels", "pyramid_scale", "poly_n"])
+def test_memo_misses_on_other_expansion_config(change):
+    a, b, c = (blurred_noise(seed, 48, 48) for seed in range(3))
+    base = FarnebackConfig()
+    other = replace(base, **change)
+    for first, second in ((base, other), (other, base)):
+        farneback_flow(a, b, first)  # the memo now holds b under ``first``
+        warm = farneback_flow(b, c, second)
+        assert _same_flow(warm, _cold_flow(b, c, second))
+        assert not _same_flow(warm, _cold_flow(b, c, first))
+
+
+def test_memo_hit_equals_cold_call_and_expands_each_frame_once(monkeypatch):
+    frames = [blurred_noise(seed, 40, 40) for seed in range(5)]
+    cfg = FarnebackConfig()
+    cold = [_cold_flow(frames[t], frames[t + 1], cfg) for t in range(4)]
+    calls = []
+    expand = flow._expand_frame
+    monkeypatch.setattr(flow, "_expand_frame",
+                        lambda frame, *rest: calls.append(1) or expand(frame, *rest))
+    flow._last_expansion = None
+    warm = [farneback_flow(frames[t], frames[t + 1], cfg) for t in range(4)]
+    assert all(_same_flow(x, y) for x, y in zip(warm, cold))
+    assert len(calls) == len(frames)
 
 
 def test_farneback_size_mismatch():

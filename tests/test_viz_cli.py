@@ -401,6 +401,8 @@ def _schema_file(tmp_path, text):
     (lambda t: _features_file(t, "a,pan,0.1,abc", "b,pan,0.3,0.4"), "row 1 (a)"),
     (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,nan,0.4"), "row 2 (b)"),
     (lambda t: _features_file(t, "a,pan,inf,0.2", "b,pan,0.3,0.4"), "row 1 (a)"),
+    (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,0.3,0.4", "a,tilt,0.5,0.6"),
+     "row 3 (a) repeats the clip id of row 1"),
     (lambda t: _y8seq_corpus(t, ("c0.y8seq", 0, "pan")), "0 frames"),
     (lambda t: _y8seq_corpus(t, ("c0.y8seq", 1, "pan")), "1 frames"),
     (lambda t: _y8seq_corpus(t, ("a/c0.y8seq", 2, "pan"), ("b/c0.y8seq", 2, "tilt")),
@@ -409,7 +411,7 @@ def _schema_file(tmp_path, text):
     (lambda t: _eval_model(t, std=float("nan")), "s.json: non-finite number NaN"),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
-], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell",
+], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "schema-without-classes", "malformed-schema"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
