@@ -1,15 +1,18 @@
-"""Artifact metadata: the one-line comment of text artifacts and the
-metadata-first object of JSON artifacts.
+"""Artifact formats: the one-line metadata comment, text tables and JSON.
 
 The comment body is ``dgme-<kind> k=v k=v ...`` with keys in insertion
-order; CSV artifacts write it after ``# `` on their first line, SVGs
-inside an XML comment. Values must not contain whitespace. JSON artifacts
-are one object, metadata keys first, and hold only finite numbers.
+order; text tables write it after ``# `` on their first line, SVGs
+inside an XML comment. Values must not contain whitespace. A text table
+is that comment line, a header row, then CSV rows, quoted where a field
+needs it. JSON artifacts are one object, metadata keys first, and hold
+only finite float64 numbers.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 from pathlib import Path
 
 from dgme.errors import DataError, NumericError
@@ -31,6 +34,47 @@ def parse_meta(line: str) -> dict:
     return meta
 
 
+def write_table(path, kind: str, meta: dict, header, rows) -> None:
+    """Write the ``# dgme-<kind>`` comment line, ``header`` and ``rows`` as
+    CSV with ``\\n`` line endings."""
+    with open(Path(path), "w", newline="\n") as fh:
+        fh.write(f"# {format_meta(kind, meta)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path, kind: str, parse_row) -> tuple[dict, list[str]]:
+    """Read a ``kind`` table; returns the metadata of its comment line
+    (empty without one) and the header. ``parse_row(0, header)`` sees the
+    header first, then ``parse_row(n, cells)`` each data row as it is read,
+    ``n`` counting from 1. Blank lines are skipped; a row whose cell count
+    differs from the header's is a data error."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{kind} file not found: {path}")
+    meta: dict = {}
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if first.startswith("#"):
+            meta = parse_meta(first)
+        else:
+            fh.seek(0)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        parse_row(0, header)
+        n = 0
+        for cells in reader:
+            if not cells:
+                continue
+            n += 1
+            if len(cells) != len(header):
+                raise DataError(f"{kind} row {n} in {path} has {len(cells)} cells, "
+                                f"header has {len(header)}")
+            parse_row(n, cells)
+    return meta, header
+
+
 def write_json(path, meta: dict, fields: dict) -> None:
     """Write ``meta`` then ``fields`` as one JSON object; NaN and infinity
     are a numeric failure, and no file is written."""
@@ -42,17 +86,36 @@ def write_json(path, meta: dict, fields: dict) -> None:
         fh.write(text + "\n")
 
 
-def _refuse_constant(token: str):
-    raise ValueError(f"non-finite number {token}")
+def _finite(parse):
+    """A ``json.loads`` number hook: ``parse(token)`` if it is a finite
+    float64; ``math.isfinite`` raises OverflowError for an int beyond it."""
+    def number(token: str):
+        value = parse(token)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {token:.24}")
+        return value
+    return number
 
 
 def read_json(path, kind: str) -> dict:
     """The object in a ``kind`` JSON file; a missing file, bad JSON or a
-    NaN/Infinity token is a data error."""
+    number that is not a finite float64 is a data error."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{kind} file not found: {path}")
     try:
-        return json.loads(path.read_text(), parse_constant=_refuse_constant)
-    except ValueError as exc:
+        return json.loads(path.read_text(), parse_float=_finite(float),
+                          parse_int=_finite(int), parse_constant=_finite(float))
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def numbers(value):
+    """``value`` if it is a JSON number or nested lists of them, else a
+    ValueError: ``float()`` and numpy would parse ``"nan"`` out of a string,
+    past read_json's finite-only rule."""
+    if isinstance(value, list):
+        return [numbers(item) for item in value]
+    if isinstance(value, (int, float)):
+        return value
+    raise ValueError(f"expected a number, got {value!r:.40}")

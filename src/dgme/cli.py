@@ -277,7 +277,7 @@ def _load_annotated(path, schema) -> tuple[dict, ev.AnnotatedSet]:
 def cmd_split(args) -> int:
     schema = ev.load_schema(args.schema)
     meta, rows = ev.read_annotations_csv(args.ann)
-    aset = ev.remap_labels([(p, label) for p, label in rows], schema)
+    aset = ev.remap_labels(rows, schema)
     try:
         ratios = tuple(float(x) for x in args.ratios.split(","))
     except ValueError as exc:

@@ -17,7 +17,6 @@ unit norm.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -26,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dgme._meta import format_meta, parse_meta, read_json, write_json
+from dgme._meta import numbers, read_json, read_table, write_json, write_table
 from dgme.errors import DataError, NumericError
 from dgme.flow import FarnebackConfig, PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
@@ -197,54 +196,38 @@ def write_features_csv(path, clip_ids: Sequence[str], labels: Sequence[str],
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise NumericError(f"non-finite descriptor for clip {clip_ids[bad[0]]}")
-    with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# {format_meta('features', meta)}\n")
-        header = ["clip_id", "label"] + [f"f{i}" for i in range(matrix.shape[1])]
-        fh.write(",".join(header) + "\n")
-        for cid, label, values in zip(clip_ids, labels, matrix):
-            row = [cid, label] + [FEATURE_FLOAT_FMT % v for v in values]
-            fh.write(",".join(row) + "\n")
+    header = ["clip_id", "label"] + [f"f{i}" for i in range(matrix.shape[1])]
+    write_table(path, "features", meta, header,
+                ([cid, label] + [FEATURE_FLOAT_FMT % v for v in values]
+                 for cid, label, values in zip(clip_ids, labels, matrix)))
 
 
 def read_features_csv(path):
     """Read a features table; returns (meta, clip_ids, labels, matrix)."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"features file not found: {path}")
-    meta: dict = {}
     clip_ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
     first_row: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            meta = parse_meta(first)
-            header = fh.readline()
-        else:
-            header = first
-        cols = header.strip().split(",")
-        if cols[:2] != ["clip_id", "label"]:
-            raise DataError(f"unexpected features header in {path}: {header.strip()!r}")
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            row = len(clip_ids) + 1
-            if len(rec) != len(cols):
-                raise DataError(
-                    f"features row {row} in {path} has {len(rec)} cells, header has {len(cols)}"
-                )
-            try:
-                rows.append([float(v) for v in rec[2:]])
-            except ValueError as exc:
-                raise DataError(f"features row {row} ({rec[0]}) in {path}: {exc}") from exc
-            if rec[0] in first_row:
-                raise DataError(f"features row {row} ({rec[0]}) repeats the clip id of row "
-                                f"{first_row[rec[0]]} in {path}")
-            first_row[rec[0]] = row
-            clip_ids.append(rec[0])
-            labels.append(rec[1])
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(cols) - 2))
+
+    def parse_row(n, rec):
+        if n == 0:
+            if rec[:2] != ["clip_id", "label"]:
+                raise DataError(f"unexpected features header in {path}: {','.join(rec)!r}")
+            return
+        try:
+            rows.append([float(v) for v in rec[2:]])
+        except ValueError as exc:
+            raise DataError(f"features row {n} ({rec[0]}) in {path}: {exc}") from exc
+        if rec[0] in first_row:
+            raise DataError(f"features row {n} ({rec[0]}) repeats the clip id of row "
+                            f"{first_row[rec[0]]} in {path}")
+        first_row[rec[0]] = n
+        clip_ids.append(rec[0])
+        labels.append(rec[1])
+
+    meta, header = read_table(path, "features", parse_row)
+    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(header) - 2))
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         k = int(bad[0])
@@ -265,14 +248,12 @@ def read_stats_json(path) -> tuple[NormStats, dict]:
     payload = read_json(path, "stats")
     try:
         stats = NormStats(
-            mean=np.array(payload["mean"], dtype=np.float64),
-            std=np.array(payload["std"], dtype=np.float64),
+            mean=np.array(numbers(payload["mean"]), dtype=np.float64),
+            std=np.array(numbers(payload["std"]), dtype=np.float64),
             source_count=int(payload["count"]),
             config_hash=str(payload["config_hash"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed stats file {path}: {exc}") from exc
-    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
-        raise DataError(f"stats file {path} holds a non-finite mean or std")
     meta = {k: v for k, v in payload.items() if k not in ("mean", "std", "count", "config_hash")}
     return stats, meta

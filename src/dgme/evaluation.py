@@ -8,7 +8,6 @@ matrices). Schemas ship as JSON data files, not code.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dgme._meta import format_meta, parse_meta, read_json, write_json
+from dgme._meta import read_json, read_table, write_json, write_table
 from dgme.errors import DataError
 
 DROP = "DROP"
@@ -143,16 +142,10 @@ def stratified_split(aset: AnnotatedSet, ratios: tuple[float, float, float] = (0
         shuffled = [group[i] for i in order]
         n_train = int(np.floor(ratios[0] * n))
         n_val = int(np.floor(ratios[1] * n))
-        n_test = int(np.floor(ratios[2] * n))
-        leftover = n - (n_train + n_val + n_test)
-        for k in range(leftover):
-            slot = ("test", "train", "val")[k % 3]
-            if slot == "test":
-                n_test += 1
-            elif slot == "train":
-                n_train += 1
-            else:
-                n_val += 1
+        leftover = n - n_train - n_val - int(np.floor(ratios[2] * n))
+        # test takes the tail, so its leftover (the first) moves no boundary
+        n_train += leftover >= 2
+        n_val += leftover >= 3
         parts[0].extend(shuffled[:n_train])
         parts[1].extend(shuffled[n_train : n_train + n_val])
         parts[2].extend(shuffled[n_train + n_val :])
@@ -257,31 +250,21 @@ def evaluate(predictions: list[tuple[str, str]],
 def read_annotations_csv(path) -> tuple[dict, list[tuple[str, str]]]:
     """Read ``clip_path,label`` rows; returns (meta, rows)."""
     path = Path(path)
-    if not path.is_file():
-        raise DataError(f"annotations file not found: {path}")
-    meta: dict = {}
     rows: list[tuple[str, str]] = []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            meta = parse_meta(first)
-            first = fh.readline()
-        if first.strip() != "clip_path,label":
-            raise DataError(f"unexpected annotations header in {path}: {first.strip()!r}")
-        for rec in csv.reader(fh):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise DataError(f"malformed annotations row in {path}: {rec!r}")
+
+    def parse_row(n, rec):
+        if n == 0:
+            if rec != ["clip_path", "label"]:
+                raise DataError(f"unexpected annotations header in {path}: {','.join(rec)!r}")
+        else:
             rows.append((rec[0], rec[1]))
+
+    meta, _ = read_table(path, "annotations", parse_row)
     return meta, rows
 
 
 def write_annotations_csv(path, rows: list[tuple[str, str]], meta: dict) -> None:
-    with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# {format_meta('annotations', meta)}\n")
-        fh.write("clip_path,label\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    write_table(path, "annotations", meta, ["clip_path", "label"], rows)
 
 
 def write_metrics_json(path, report: MetricsReport, class_names, meta: dict) -> None:
@@ -298,8 +281,5 @@ def write_metrics_json(path, report: MetricsReport, class_names, meta: dict) -> 
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix, meta: dict) -> None:
-    with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# {format_meta('confusion', meta)}\n")
-        fh.write("true\\pred," + ",".join(cm.class_names) + "\n")
-        for name, row in zip(cm.class_names, cm.counts):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_table(path, "confusion", meta, ["true\\pred", *cm.class_names],
+                ([name, *row] for name, row in zip(cm.class_names, cm.counts.tolist())))

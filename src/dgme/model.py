@@ -20,17 +20,21 @@ deterministic stand-in built from intensity statistics.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from dgme._meta import format_meta, read_json, write_json
+from dgme._meta import numbers, read_json, write_json, write_table
 from dgme.descriptor import grid_cells
 from dgme.errors import DataError, NumericError
 from dgme.videoio import FrameSequence
 
 LAYER_NORM_EPS = 1e-5
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+# learning rate the cosine schedule anneals to
+COSINE_FLOOR = 1e-5
 PROB_FLOOR = 1e-12
 
 
@@ -58,16 +62,7 @@ class FusionHeadParams:
             raise ValueError(f"W must be ({k}, {c + d}) and b ({k},), got {self.W.shape}, {self.b.shape}")
 
     def copy(self) -> "FusionHeadParams":
-        return FusionHeadParams(
-            alpha=float(self.alpha),
-            ln_gain=self.ln_gain.copy(),
-            ln_bias=self.ln_bias.copy(),
-            W=self.W.copy(),
-            b=self.b.copy(),
-            class_names=list(self.class_names),
-            backbone_dim=self.backbone_dim,
-            descriptor_dim=self.descriptor_dim,
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -76,20 +71,14 @@ class TrainConfig:
     batch_size: int = 32
     lr_max: float = 1e-3
     weight_decay: float = 0.01
-    adamw_betas: tuple[float, float] = (0.9, 0.999)
-    adamw_eps: float = 1e-8
-    cosine_floor: float = 1e-5
     early_stop_patience: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr_max <= 0 or self.cosine_floor <= 0:
-            raise ValueError("learning rates must be positive")
-        b1, b2 = self.adamw_betas
-        if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
+        if self.lr_max <= 0:
+            raise ValueError("lr_max must be positive")
 
 
 @dataclass
@@ -269,7 +258,7 @@ def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
     )
     num_classes = len(train_set.class_names)
     n = len(train_set.clip_ids)
-    beta1, beta2 = cfg.adamw_betas
+    beta1, beta2 = ADAMW_BETAS
     moments = {
         k: (np.zeros_like(v), np.zeros_like(v))
         for k, v in (("alpha", np.zeros(())), ("ln_gain", params.ln_gain),
@@ -293,7 +282,7 @@ def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
         lr = cfg.lr_max
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            lr = cosine_lr(global_step, total_steps, cfg.lr_max, cfg.cosine_floor)
+            lr = cosine_lr(global_step, total_steps, cfg.lr_max, COSINE_FLOOR)
             loss, grads = backward(
                 xb_train[idx], train_set.dgme[idx], train_set.labels[idx], params
             )
@@ -312,7 +301,7 @@ def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
                 m += (1.0 - beta1) * g
                 v *= beta2
                 v += (1.0 - beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adamw_eps)
+                update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
                 p -= lr * update
                 if key == "W" and cfg.weight_decay > 0:
                     # decoupled decay on the linear weights only; decaying the
@@ -417,20 +406,17 @@ def load_model_json(path) -> tuple[FusionHeadParams, dict]:
     payload = read_json(path, "model")
     try:
         params = FusionHeadParams(
-            alpha=float(payload["alpha"]),
-            ln_gain=np.array(payload["ln_gain"], dtype=np.float64),
-            ln_bias=np.array(payload["ln_bias"], dtype=np.float64),
-            W=np.array(payload["W"], dtype=np.float64),
-            b=np.array(payload["b"], dtype=np.float64),
+            alpha=float(numbers(payload["alpha"])),
+            ln_gain=np.array(numbers(payload["ln_gain"]), dtype=np.float64),
+            ln_bias=np.array(numbers(payload["ln_bias"]), dtype=np.float64),
+            W=np.array(numbers(payload["W"]), dtype=np.float64),
+            b=np.array(numbers(payload["b"]), dtype=np.float64),
             class_names=list(payload["class_names"]),
             backbone_dim=int(payload["backbone_dim"]),
             descriptor_dim=int(payload["descriptor_dim"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    if not all(np.isfinite(a).all() for a in
-               (params.alpha, params.ln_gain, params.ln_bias, params.W, params.b)):
-        raise DataError(f"model file {path} holds a non-finite parameter")
     keys = ("class_names", "backbone_dim", "descriptor_dim", "alpha",
             "ln_gain", "ln_bias", "W", "b")
     meta = {k: v for k, v in payload.items() if k not in keys}
@@ -438,11 +424,7 @@ def load_model_json(path) -> tuple[FusionHeadParams, dict]:
 
 
 def write_training_log(path, log: list[dict], meta: dict) -> None:
-    with open(Path(path), "w", newline="\n") as fh:
-        fh.write(f"# {format_meta('trainlog', meta)}\n")
-        fh.write("epoch,step,lr,train_loss,val_macro_f1,alpha\n")
-        for row in log:
-            fh.write(
-                f"{row['epoch']},{row['step']},{row['lr']:.9g},"
-                f"{row['train_loss']:.9g},{row['val_macro_f1']:.9g},{row['alpha']:.9g}\n"
-            )
+    floats = ("lr", "train_loss", "val_macro_f1", "alpha")
+    write_table(path, "trainlog", meta, ["epoch", "step", *floats],
+                ([row["epoch"], row["step"], *(f"{row[k]:.9g}" for k in floats)]
+                 for row in log))

@@ -22,14 +22,13 @@ footage: contrast compression, blur, flicker, noise, and frame repeats.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from dgme._meta import format_meta
+from dgme._meta import write_table
 from dgme._resample import resize_bilinear, sample_bilinear
 from dgme.errors import DataError
 from dgme.videoio import FrameSequence, write_y8seq
@@ -183,10 +182,6 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
     )
 
 
-def _gaussian_blur_u8(frame: np.ndarray, sigma: float) -> np.ndarray:
-    return gaussian_filter(frame, sigma=sigma, mode="mirror")
-
-
 def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
     """Simulated archival degradation, applied in a fixed order:
     contrast compression about 128, Gaussian blur, per-frame brightness
@@ -203,7 +198,7 @@ def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
         f = seq.frames[t].astype(np.float64)
         f = spec.contrast_scale * (f - 128.0) + 128.0
         if spec.blur_sigma > 0:
-            f = _gaussian_blur_u8(f, spec.blur_sigma)
+            f = gaussian_filter(f, sigma=spec.blur_sigma, mode="mirror")
         f = f + flicker[t] + noise[t]
         out.append(_emit(f))
     for t in range(1, n):
@@ -274,9 +269,5 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     header = dict(meta or {})
     header.setdefault("seed", seed)
     header.setdefault("domain", domain)
-    with open(out_dir / "annotations.csv", "w", newline="\n") as fh:
-        fh.write(f"# {format_meta('corpus', header)}\n")
-        fh.write("clip_path,label\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+    write_table(out_dir / "annotations.csv", "corpus", header, ["clip_path", "label"], rows)
     return rows

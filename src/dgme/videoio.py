@@ -183,8 +183,6 @@ def _resize_shorter_side(frame: np.ndarray, target: int) -> np.ndarray:
     else:
         out_w = target
         out_h = max(target, int(round(h * target / w)))
-    if (out_h, out_w) == (h, w):
-        return frame.astype(np.float64)
     return resize_bilinear(frame.astype(np.float64), out_h, out_w)
 
 

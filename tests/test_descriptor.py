@@ -339,7 +339,7 @@ def test_stats_json_refuses_non_finite(tmp_path):
     with pytest.raises(NumericError, match="non-finite"):
         write_stats_json(tmp_path / "s.json", stats, {})
     assert not (tmp_path / "s.json").exists()
-    # 1e999 parses to inf, so the reader checks after parsing too
+    # 1e999 parses to inf without a NaN/Infinity token
     path = tmp_path / "big.json"
     path.write_text('{"config_hash": "h", "count": 2, "mean": [1e999], "std": [1.0]}')
     with pytest.raises(DataError, match="non-finite"):

@@ -1,5 +1,6 @@
 """Visualization output and command-line surface tests."""
 
+import csv
 import json
 import struct
 
@@ -390,6 +391,29 @@ def test_cli_hand_written_model_evaluates(tmp_path):
     assert main(_eval_model(tmp_path, std=2.0)) == 0
 
 
+def _huge_int_in_stats_mean(tmp_path):
+    _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"config_hash": "", "count": 2, "mean": [10 ** 400, 0.0], "std": [1.0, 1.0]}))
+    return ["normalize", "--features", str(tmp_path / "features.csv"),
+            "--stats", str(tmp_path / "s.json"), "--out", str(tmp_path / "n.csv")]
+
+
+def _model_field(tmp_path, key, value):
+    """``_eval_model`` with one field of the model JSON replaced."""
+    args = _eval_model(tmp_path)
+    model = json.loads((tmp_path / "m.json").read_text())
+    model[key] = value
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    return args
+
+
+def _ragged_annotations(tmp_path):
+    (tmp_path / "a.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,pan,extra\n")
+    return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", "modern4",
+            "--out-dir", str(tmp_path / "splits")]
+
+
 def _schema_file(tmp_path, text):
     (tmp_path / "schema.json").write_text(text)
     return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", str(tmp_path / "schema.json"),
@@ -409,17 +433,45 @@ def _schema_file(tmp_path, text):
      "row 2: clip id 'c0'"),
     (lambda t: _eval_model(t, weight=float("nan")), "m.json: non-finite number NaN"),
     (lambda t: _eval_model(t, std=float("nan")), "s.json: non-finite number NaN"),
+    (_huge_int_in_stats_mean, "s.json: int too large to convert to float"),
+    (lambda t: _model_field(t, "alpha", 10 ** 400), "m.json: int too large to convert to float"),
+    (lambda t: _model_field(t, "alpha", "inf"), "m.json: expected a number, got 'inf'"),
+    (lambda t: _eval_model(t, std="nan"), "s.json: expected a number, got 'nan'"),
+    (_ragged_annotations, "annotations row 2"),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "duplicate-clip-id",
-        "nan-model-weight", "nan-stats-std", "schema-without-classes", "malformed-schema"])
+        "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
+        "string-model-alpha", "string-stats-std", "ragged-annotations-row",
+        "schema-without-classes", "malformed-schema"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+
+
+def test_cli_comma_and_quote_in_clip_path_round_trip(tmp_path, capsys):
+    # 16x16 black clips named with a comma and with a quote
+    names = ["pan,0000", 'tilt"0001']
+    for name in names:
+        (tmp_path / f"{name}.y8seq").write_bytes(
+            b"Y8SQ" + struct.pack("<III", 16, 16, 2) + bytes(512))
+    with open(tmp_path / "annotations.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([["clip_path", "label"], [f"{names[0]}.y8seq", "pan"],
+                          [f"{names[1]}.y8seq", "tilt"]])
+    assert main(["extract", "--ann", str(tmp_path / "annotations.csv"),
+                 "--out", str(tmp_path / "f.csv"), "--frames-per-clip", "2",
+                 "--interval", "1", "--target-size", "16"]) == 0
+    assert main(["stats", "--features", str(tmp_path / "f.csv"),
+                 "--out", str(tmp_path / "s.json")]) == 0
+    _, clip_ids, labels, matrix = read_features_csv(tmp_path / "f.csv")
+    assert clip_ids == names and labels == ["pan", "tilt"]
+    assert matrix.shape == (2, 117)
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_train_and_eval_read_features_once(mini_corpus, tmp_path, monkeypatch):
