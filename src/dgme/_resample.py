@@ -3,8 +3,7 @@
 All resampling in the toolkit goes through these two functions so that
 frame loading, flow warping, and clip synthesis agree bit-for-bit on
 interpolation conventions: half-pixel centers for whole-image resize,
-edge clamping or mirror reflection (no edge duplication) for out-of-range
-coordinates.
+edge clamping for out-of-range coordinates.
 """
 
 from __future__ import annotations
@@ -12,45 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def _reflect_coords(coords: np.ndarray, n: int) -> np.ndarray:
-    """Map arbitrary continuous coordinates into [0, n-1] by mirroring.
-
-    Reflection is about the outermost sample centers, so the edge sample
-    is not duplicated (coordinate -0.5 maps to 0.5, not 0.0).
-    """
-    if n == 1:
-        return np.zeros_like(coords)
-    period = 2.0 * (n - 1)
-    c = np.mod(coords, period)
-    return np.where(c > n - 1, period - c, c)
+def sample_bilinear(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample a 2-D float array at continuous (ys, xs) coordinates;
+    out-of-range coordinates clamp to the nearest edge sample."""
+    return sample_bilinear_planes((plane,), ys, xs)[0]
 
 
-def sample_bilinear(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                    border: str = "clamp") -> np.ndarray:
-    """Sample a 2-D float array at continuous (ys, xs) coordinates.
-
-    border:
-      "clamp"   out-of-range coordinates clamp to the nearest edge sample
-      "reflect" coordinates mirror back into the image (no edge repeat)
-    """
-    return sample_bilinear_planes((plane,), ys, xs, border)[0]
-
-
-def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray,
-                           border: str = "clamp") -> list[np.ndarray]:
+def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray) -> list[np.ndarray]:
     """``sample_bilinear`` of each of several equally shaped planes at the
     same coordinates; the neighbour indices and weights are computed once."""
     h, w = planes[0].shape
-    ys = np.asarray(ys, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    if border == "reflect":
-        ys = _reflect_coords(ys, h)
-        xs = _reflect_coords(xs, w)
-    elif border == "clamp":
-        ys = np.clip(ys, 0.0, float(h - 1))
-        xs = np.clip(xs, 0.0, float(w - 1))
-    else:
-        raise ValueError(f"unknown border mode {border!r}")
+    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, float(h - 1))
+    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, float(w - 1))
 
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
@@ -97,4 +69,4 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     grid_y = np.repeat(ys[:, None], out_w, axis=1)
     grid_x = np.repeat(xs[None, :], out_h, axis=0)
-    return sample_bilinear(img, grid_y, grid_x, border="clamp")
+    return sample_bilinear(img, grid_y, grid_x)

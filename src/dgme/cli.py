@@ -21,34 +21,12 @@ from dgme import evaluation as ev
 from dgme import model as mdl
 from dgme import synth, viz
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
-from dgme.flow import FarnebackConfig
 from dgme.videoio import SamplingSpec, load_clip, read_y8seq
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _add_flow_flags(p: argparse.ArgumentParser) -> None:
-    d = FarnebackConfig()
-    p.add_argument("--flow-levels", type=int, default=d.pyramid_levels)
-    p.add_argument("--flow-scale", type=float, default=d.pyramid_scale)
-    p.add_argument("--flow-window", type=int, default=d.window_size)
-    p.add_argument("--flow-iterations", type=int, default=d.iterations)
-    p.add_argument("--flow-poly-n", type=int, default=d.poly_n)
-    p.add_argument("--flow-poly-sigma", type=float, default=d.poly_sigma)
-
-
-def _flow_cfg(args) -> FarnebackConfig:
-    return FarnebackConfig(
-        pyramid_levels=args.flow_levels,
-        pyramid_scale=args.flow_scale,
-        window_size=args.flow_window,
-        iterations=args.flow_iterations,
-        poly_n=args.flow_poly_n,
-        poly_sigma=args.flow_poly_sigma,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,14 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ann", required=True, help="annotations.csv of the corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--mthr", type=float, default=0.5)
-    p.add_argument("--bins", type=int, default=12)
-    p.add_argument("--grid", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--frames-per-clip", type=int, default=12)
     p.add_argument("--interval", type=int, default=6)
     p.add_argument("--target-size", type=int, default=224)
     p.add_argument("--seed", type=int, default=0, help="recorded in artifact metadata")
-    _add_flow_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="fit per-dimension calibration statistics")
@@ -150,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default=None, help="rose: aggregate clips with this label")
     p.add_argument("--clip-id", default=None, help="grid: render this clip")
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=12)
-    p.add_argument("--grid", dest="grid_cells", type=int, default=3)
     p.set_defaults(func=cmd_viz)
 
     return parser
@@ -170,6 +143,20 @@ def _out_meta(seed, cfg_hash: str | None = None, schema: str | None = None,
         meta["domain"] = source["domain"]
     meta.update(extra)
     return meta
+
+
+def _meta_int(meta: dict, key: str, default: int, path, minimum: int | None = None) -> int:
+    """Integer field ``key`` of the metadata read from ``path`` (``default``
+    when absent); anything else is a data error naming the file and key."""
+    value = meta.get(key, default)
+    try:
+        number = int(value) if type(value) in (int, str) else None
+    except ValueError:
+        number = None
+    if number is None or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DataError(f"{path}: {key} must be an integer{bound}, got {value!r}")
+    return number
 
 
 def cmd_synth(args) -> int:
@@ -191,22 +178,20 @@ def cmd_synth(args) -> int:
 
 # module-level worker so multiprocessing can pickle it
 def _extract_one(task):
-    index, clip_path, sampling, dcfg, fcfg = task
+    index, clip_path, sampling, dcfg = task
     seq = load_clip(clip_path, sampling)
-    return index, dsc.compute_dgme(seq, dcfg, fcfg)
+    return index, dsc.compute_dgme(seq, dcfg)
 
 
 def cmd_extract(args) -> int:
     ann_path = Path(args.ann)
     meta, rows = ev.read_annotations_csv(ann_path)
     root = ann_path.parent
-    dcfg = dsc.DgmeConfig(grid=args.grid, directional_bins=args.bins,
-                          magnitude_threshold=args.mthr)
-    fcfg = _flow_cfg(args)
+    dcfg = dsc.DgmeConfig(magnitude_threshold=args.mthr)
     sampling = SamplingSpec(frames_per_clip=args.frames_per_clip,
                             frame_interval=args.interval,
                             target_size=args.target_size)
-    cfg_hash = dsc.config_hash(dcfg, fcfg)
+    cfg_hash = dsc.config_hash(dcfg)
 
     tasks = []
     clip_ids: dict[str, int] = {}
@@ -220,14 +205,14 @@ def cmd_extract(args) -> int:
                 f"row {i + 1}: clip id {cid!r} of {rel} duplicates row {clip_ids[cid] + 1}"
             )
         clip_ids[cid] = i
-        tasks.append((i, str(clip_path), sampling, dcfg, fcfg))
+        tasks.append((i, str(clip_path), sampling, dcfg))
 
     if args.jobs <= 1:
         results = [_extract_one(t) for t in tasks]
     else:
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(_extract_one, tasks, chunksize=8)
-    matrix = np.array([values for _, values in results]).reshape(-1, dcfg.length)
+    matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
     labels = [label for _, label in rows]
     dsc.write_features_csv(args.out, list(clip_ids), labels, matrix,
                            _out_meta(args.seed, cfg_hash, source=meta))
@@ -261,7 +246,7 @@ def _calibrate(features_path, meta: dict, matrix: np.ndarray, stats_path) -> np.
 def cmd_normalize(args) -> int:
     meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
     calibrated = _calibrate(args.features, meta, matrix, args.stats)
-    out_meta = _out_meta(int(meta.get("seed", 0)), meta.get("config_hash", ""),
+    out_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash", ""),
                          source=meta, calibrated="true")
     dsc.write_features_csv(args.out, clip_ids, labels, calibrated, out_meta)
     print(f"calibrated {len(clip_ids)} rows -> {args.out}")
@@ -337,7 +322,7 @@ def _embed_clips(clips_dir, clip_ids, seed, dim):
         if not path.is_file():
             raise DataError(f"clip file for embedding not found: {path}")
         rows.append(provider.embed(read_y8seq(path)))
-    return np.stack(rows), provider
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim), provider
 
 
 def cmd_train(args) -> int:
@@ -441,13 +426,13 @@ def cmd_eval(args) -> int:
             if args.clips is None:
                 raise UsageError("evaluating a fusion model requires --clips")
             backbone, _ = _embed_clips(
-                args.clips, ids, int(model_meta.get("embed_seed", 0)),
-                int(model_meta.get("embed_dim", 64)),
+                args.clips, ids, _meta_int(model_meta, "embed_seed", 0, args.model, 0),
+                _meta_int(model_meta, "embed_dim", 64, args.model, 0),
             )
         feats = mdl.LabeledFeatures(ids, X, y, list(schema.classes), backbone=backbone)
         pred_idx = mdl.predict(feats, params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
-        seed = int(model_meta.get("seed", args.seed))
+        seed = _meta_int(model_meta, "seed", args.seed, args.model)
         if args.out_predictions:
             ev.write_annotations_csv(args.out_predictions, predictions, _out_meta(seed))
 
@@ -462,7 +447,6 @@ def cmd_eval(args) -> int:
 
 def cmd_viz(args) -> int:
     meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
-    cfg = dsc.DgmeConfig(grid=args.grid_cells, directional_bins=args.bins)
     svg_meta = _out_meta(meta.get("seed", 0), meta.get("config_hash"))
 
     if args.kind == "rose":
@@ -471,7 +455,7 @@ def cmd_viz(args) -> int:
         rows = matrix[[i for i, lab in enumerate(labels) if lab == args.label]]
         if rows.shape[0] == 0:
             raise DataError(f"no clips with label {args.label!r} in {args.features}")
-        directional, _ = viz.aggregate_bins(rows, cfg)
+        directional, _ = viz.aggregate_bins(rows)
         svg = viz.rose_svg(directional, meta=svg_meta)
     else:
         if args.clip_id is None:
@@ -480,7 +464,7 @@ def cmd_viz(args) -> int:
             row = matrix[clip_ids.index(args.clip_id)]
         except ValueError as exc:
             raise DataError(f"clip id {args.clip_id!r} not found in {args.features}") from exc
-        svg = viz.grid_svg(row, cfg, meta=svg_meta)
+        svg = viz.grid_svg(row, meta=svg_meta)
 
     with open(args.out, "w", newline="\n") as fh:
         fh.write(svg)

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from dgme import flow
 from dgme._meta import numbers, read_json, read_table, write_json, write_table
 from dgme.errors import DataError, NumericError
-from dgme.flow import FarnebackConfig, PolarFlow, cart2polar, farneback_flow
+from dgme.flow import PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
 
 # z-score denominator floor for zero-variance dimensions
@@ -35,32 +36,22 @@ ZSCORE_EPS = 1e-8
 
 FEATURE_FLOAT_FMT = "%.9g"
 
+# the descriptor geometry, fixed: a GRID x GRID grid of cells, each with
+# DIRECTIONAL_BINS bins of BIN_WIDTH degrees and one static bin
+GRID = 3
+DIRECTIONAL_BINS = 12
+BINS_PER_CELL = DIRECTIONAL_BINS + 1
+DESCRIPTOR_LENGTH = GRID * GRID * BINS_PER_CELL
+BIN_WIDTH = 360.0 / DIRECTIONAL_BINS
+
 
 @dataclass
 class DgmeConfig:
-    grid: int = 3
-    directional_bins: int = 12
     magnitude_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError("grid must be >= 1")
-        if self.directional_bins < 2 or 360 % self.directional_bins != 0:
-            raise ValueError("directional_bins must be >= 2 and divide 360 evenly")
-        if self.magnitude_threshold < 0:
-            raise ValueError("magnitude_threshold must be >= 0")
-
-    @property
-    def bins_per_cell(self) -> int:
-        return self.directional_bins + 1
-
-    @property
-    def length(self) -> int:
-        return self.grid * self.grid * self.bins_per_cell
-
-    @property
-    def bin_width(self) -> float:
-        return 360.0 / self.directional_bins
+        if not 0.0 <= self.magnitude_threshold < np.inf:
+            raise ValueError("magnitude_threshold must be finite and >= 0")
 
 
 @dataclass
@@ -79,13 +70,17 @@ class NormStats:
             raise ValueError("std entries must be >= 0")
 
 
-def config_hash(cfg: DgmeConfig, flow_cfg: FarnebackConfig) -> str:
-    """Stable short hash binding features to the config that produced them."""
-    payload = json.dumps(
-        {"dgme": asdict(cfg), "flow": asdict(flow_cfg)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def config_hash(cfg: DgmeConfig) -> str:
+    """Stable short hash binding features to the settings that produced
+    them: the magnitude threshold, the fixed geometry and the fixed
+    Farneback settings."""
+    payload = json.dumps({
+        "dgme": {"grid": GRID, "directional_bins": DIRECTIONAL_BINS,
+                 "magnitude_threshold": cfg.magnitude_threshold},
+        "flow": {"pyramid_levels": flow.PYRAMID_LEVELS, "pyramid_scale": flow.PYRAMID_SCALE,
+                 "window_size": flow.WINDOW_SIZE, "iterations": flow.ITERATIONS,
+                 "poly_n": flow.POLY_N, "poly_sigma": flow.POLY_SIGMA},
+    }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -118,12 +113,10 @@ def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
     m = polar.m[y0:y1, x0:x1].astype(np.float64).ravel()
     theta = polar.theta[y0:y1, x0:x1].astype(np.float64).ravel()
     moving = m >= cfg.magnitude_threshold
-    idx = (theta[moving] // cfg.bin_width).astype(np.int64) % cfg.directional_bins
-    hist = np.zeros(cfg.bins_per_cell, dtype=np.float64)
-    hist[: cfg.directional_bins] = np.bincount(
-        idx, weights=m[moving], minlength=cfg.directional_bins
-    )
-    hist[cfg.directional_bins] = cfg.magnitude_threshold * float((~moving).sum())
+    idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
+    hist = np.zeros(BINS_PER_CELL, dtype=np.float64)
+    hist[:DIRECTIONAL_BINS] = np.bincount(idx, weights=m[moving], minlength=DIRECTIONAL_BINS)
+    hist[DIRECTIONAL_BINS] = cfg.magnitude_threshold * float((~moving).sum())
     return hist
 
 
@@ -132,8 +125,8 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.nd
     if not fields:
         raise DataError("descriptor needs at least one flow field")
     h, w = fields[0].height, fields[0].width
-    cells = grid_cells(h, w, cfg.grid)
-    acc = np.zeros((len(cells), cfg.bins_per_cell), dtype=np.float64)
+    cells = grid_cells(h, w, GRID)
+    acc = np.zeros((len(cells), BINS_PER_CELL), dtype=np.float64)
     for polar in fields:
         if (polar.height, polar.width) != (h, w):
             raise DataError("flow field sizes differ within one clip")
@@ -146,14 +139,12 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.nd
     return vec
 
 
-def compute_dgme(seq: FrameSequence, cfg: DgmeConfig,
-                 flow_cfg: FarnebackConfig | None = None) -> np.ndarray:
-    """Descriptor for one clip from its consecutive sampled frame pairs."""
-    flow_cfg = flow_cfg or FarnebackConfig()
-    if min(seq.height, seq.width) < cfg.grid:
-        raise DataError(f"frame {seq.height}x{seq.width} smaller than {cfg.grid}x{cfg.grid} grid")
+def compute_dgme(seq: FrameSequence, cfg: DgmeConfig) -> np.ndarray:
+    """Descriptor for one clip from its consecutive sampled frame pairs.
+    ``farneback_flow`` refuses frames smaller than its 5 px kernel, so
+    every grid cell holds at least one pixel."""
     fields = [
-        cart2polar(farneback_flow(seq.frames[t], seq.frames[t + 1], flow_cfg))
+        cart2polar(farneback_flow(seq.frames[t], seq.frames[t + 1]))
         for t in range(seq.frame_count - 1)
     ]
     return descriptor_from_polar(fields, cfg)

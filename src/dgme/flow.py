@@ -15,9 +15,9 @@ Each frame's pyramid and per-level expansion depend on that frame alone,
 and ``compute_dgme`` passes every interior frame of a clip twice, once as
 ``nxt`` and then as the next pair's ``prev``. A one-entry memo holds the
 expansions of the last frame expanded, so each frame of a clip is
-expanded once. Its key is the frame's full content (bytes, shape, dtype)
-plus every config field the expansion reads, so a hit returns exactly
-what a fresh expansion would: ``farneback_flow`` stays a pure function,
+expanded once. Its key is the frame alone (shape, dtype, bytes): the
+Farneback settings are module constants, so a hit returns exactly what a
+fresh expansion would and ``farneback_flow`` stays a pure function,
 whatever was called before it. The cached arrays are read-only, and the
 memo holds at most one frame's expansions (about 2.6 MB at 224 px).
 """
@@ -35,6 +35,15 @@ from dgme.errors import DataError
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
 # zero flow instead of amplifying numerical noise
 _DET_EPS = 1e-3
+
+# the Farneback settings of the descriptor, fixed; ``descriptor.config_hash``
+# records them in every artifact
+PYRAMID_LEVELS = 3
+PYRAMID_SCALE = 0.5
+WINDOW_SIZE = 15
+ITERATIONS = 3
+POLY_N = 5
+POLY_SIGMA = 1.1
 
 
 @dataclass
@@ -73,28 +82,6 @@ class PolarFlow:
     @property
     def width(self) -> int:
         return self.m.shape[1]
-
-
-@dataclass
-class FarnebackConfig:
-    pyramid_levels: int = 3
-    pyramid_scale: float = 0.5
-    window_size: int = 15
-    iterations: int = 3
-    poly_n: int = 5
-    poly_sigma: float = 1.1
-
-    def __post_init__(self):
-        if not (0.0 < self.pyramid_scale < 1.0):
-            raise ValueError("pyramid_scale must be in (0, 1)")
-        if self.pyramid_levels < 1 or self.iterations < 1:
-            raise ValueError("pyramid_levels and iterations must be >= 1")
-        for name in ("window_size", "poly_n"):
-            v = getattr(self, name)
-            if v < 3 or v % 2 == 0:
-                raise ValueError(f"{name} must be odd and >= 3")
-        if self.poly_sigma <= 0:
-            raise ValueError("poly_sigma must be positive")
 
 
 def _gaussian_kernel(half: int, sigma: float) -> np.ndarray:
@@ -183,31 +170,31 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
     return u_new, v_new
 
 
-def _pyramid_sizes(h: int, w: int, cfg: FarnebackConfig) -> list[tuple[int, int]]:
+def _pyramid_sizes(h: int, w: int) -> list[tuple[int, int]]:
     sizes = [(h, w)]
-    for level in range(1, cfg.pyramid_levels):
-        s = cfg.pyramid_scale ** level
+    for level in range(1, PYRAMID_LEVELS):
+        s = PYRAMID_SCALE ** level
         hh, ww = int(round(h * s)), int(round(w * s))
-        if min(hh, ww) < cfg.poly_n + 2:
+        if min(hh, ww) < POLY_N + 2:
             break
         sizes.append((hh, ww))
     return sizes
 
 
-def _expand_frame(frame: np.ndarray, sizes, cfg: FarnebackConfig) -> tuple:
+def _expand_frame(frame: np.ndarray) -> tuple:
     """Polynomial expansion of one frame at each pyramid level (level 0 is
     full resolution), as read-only arrays."""
     img = frame.astype(np.float64)
     levels = []
-    for level, (hh, ww) in enumerate(sizes):
+    for level, (hh, ww) in enumerate(_pyramid_sizes(*frame.shape)):
         if level == 0:
             p = img
         else:
             # each level is built from the original image with a matched
             # anti-alias blur, not by repeated halving
-            sigma = (1.0 / (cfg.pyramid_scale ** level) - 1.0) * 0.5
+            sigma = (1.0 / (PYRAMID_SCALE ** level) - 1.0) * 0.5
             p = resize_bilinear(_gaussian_blur(img, sigma), hh, ww)
-        exp = _poly_expand(p, cfg.poly_n, cfg.poly_sigma)
+        exp = _poly_expand(p, POLY_N, POLY_SIGMA)
         for a in exp:
             a.flags.writeable = False
         levels.append(exp)
@@ -219,49 +206,45 @@ def _expand_frame(frame: np.ndarray, sizes, cfg: FarnebackConfig) -> tuple:
 _last_expansion = None
 
 
-def _frame_expansions(frame: np.ndarray, sizes, cfg: FarnebackConfig) -> tuple:
+def _frame_expansions(frame: np.ndarray) -> tuple:
     """``_expand_frame`` behind the one-entry memo described in the module
     docstring."""
     global _last_expansion
-    key = (frame.shape, frame.dtype.str, frame.tobytes(), tuple(sizes),
-           cfg.pyramid_scale, cfg.poly_n, cfg.poly_sigma)
+    key = (frame.shape, frame.dtype.str, frame.tobytes())
     memo = _last_expansion
     if memo is not None and memo[0] == key:
         return memo[1]
-    levels = _expand_frame(frame, sizes, cfg)
+    levels = _expand_frame(frame)
     _last_expansion = (key, levels)
     return levels
 
 
-def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
-                   cfg: FarnebackConfig | None = None) -> FlowField:
+def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
     """Dense displacement field from ``prev`` to ``nxt``.
 
-    Deterministic given inputs and config. Uniform (gradient-free) inputs
-    yield exactly zero flow.
+    Deterministic given its inputs. Uniform (gradient-free) inputs yield
+    exactly zero flow.
     """
-    cfg = cfg or FarnebackConfig()
     prev = np.asarray(prev)
     nxt = np.asarray(nxt)
     if prev.shape != nxt.shape:
         raise DataError(f"frame size mismatch: {prev.shape} vs {nxt.shape}")
     if prev.ndim != 2:
         raise DataError("flow inputs must be single-channel 2-D frames")
-    if min(prev.shape) < cfg.poly_n:
+    if min(prev.shape) < POLY_N:
         raise DataError(
-            f"frame {prev.shape} smaller than polynomial kernel support ({cfg.poly_n})"
+            f"frame {prev.shape} smaller than polynomial kernel support ({POLY_N})"
         )
 
-    sizes = _pyramid_sizes(*prev.shape, cfg)
     # prev first: in a clip it is the frame the memo holds from the last pair
-    exp1 = _frame_expansions(prev, sizes, cfg)
-    exp2 = _frame_expansions(nxt, sizes, cfg)
-    half = cfg.window_size // 2
+    exp1 = _frame_expansions(prev)
+    exp2 = _frame_expansions(nxt)
+    half = WINDOW_SIZE // 2
     win = _gaussian_kernel(half, max(0.3 * half, 0.5))
 
     u = v = None
-    for level in reversed(range(len(sizes))):
-        hh, ww = sizes[level]
+    for level in reversed(range(len(exp1))):
+        hh, ww = exp1[level][0].shape
         if u is None:
             u = np.zeros((hh, ww))
             v = np.zeros((hh, ww))
@@ -270,7 +253,7 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray,
             u = resize_bilinear(u, hh, ww) * (ww / pw)
             v = resize_bilinear(v, hh, ww) * (hh / ph)
         yy, xx = np.mgrid[0:hh, 0:ww].astype(np.float64)
-        for _ in range(cfg.iterations):
+        for _ in range(ITERATIONS):
             u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx, win)
     return FlowField(u, v)
 

@@ -14,10 +14,13 @@ Five classes are rendered by animating a seeded procedural texture
           high-contrast textured foreground blob stays centered
           (camera-follows-object semantics)
 
-The texture canvas is oversized by the total motion extent so moving
-content never runs off the source; sampling is bilinear with reflective
-borders as a safety net. A separate degradation stage simulates archival
-footage: contrast compression, blur, flicker, noise, and frame repeats.
+The texture canvas is oversized by the total motion extent plus 4 px, so
+every bilinear sample lies at least 4 px inside it. A zoom-out needs a
+canvas that grows geometrically with the frame count; a clip whose last
+frame would span more than ``MAX_ZOOM_OUT`` times the frame side is
+refused before anything is allocated. A separate degradation stage
+simulates archival footage: contrast compression, blur, flicker, noise,
+and frame repeats.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ CLASSES = ("static", "tilt", "pan", "zoom", "track")
 
 # residual motion still considered "static", exposed as the default jitter cap
 STATIC_JITTER_MAX = 0.2
+
+# widest zoom-out: the texture side the last frame spans over the frame
+# side, which bounds the canvas (the default corpus spec reaches 2.03)
+MAX_ZOOM_OUT = 8.0
 
 
 @dataclass
@@ -112,6 +119,28 @@ def _emit(frame: np.ndarray) -> np.ndarray:
     return np.round(frame).clip(0, 255).astype(np.uint8)
 
 
+def _canvas_margin(spec: SynthSpec) -> int:
+    """Texture border around the frame that the clip's motion needs."""
+    size, n, mag = spec.size, spec.frames, spec.motion_magnitude
+    if spec.class_label == "static":
+        return int(np.ceil(spec.jitter)) + 4
+    if spec.class_label != "zoom":
+        return int(np.ceil(mag * (n - 1))) + 4
+    if mag >= size / 2.0:
+        raise ValueError("zoom magnitude too large for frame size")
+    if spec.direction_sign > 0:
+        return 4
+    # the last frame spans 1/shrink times the frame side on the texture
+    shrink = (1.0 - mag / (size / 2.0)) ** (n - 1)
+    if shrink * MAX_ZOOM_OUT < 1.0:
+        raise ValueError(
+            f"zoom-out of {mag:g} px/frame over {n} frames of {size} px spans "
+            f"{1.0 / shrink:.3g}x the frame, more than {MAX_ZOOM_OUT:g}x: lower the "
+            "magnitude or the frame count, or raise the size"
+        )
+    return int(np.ceil((size / 2.0) * (1.0 / shrink - 1.0))) + 4
+
+
 def make_clip(spec: SynthSpec) -> FrameSequence:
     """Render one labeled clip; deterministic given the spec."""
     rng = np.random.default_rng(spec.texture_seed)
@@ -120,20 +149,7 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
     mag = spec.motion_magnitude
     sign = spec.direction_sign
     span = mag * (n - 1)
-
-    if spec.class_label == "zoom":
-        if mag >= size / 2.0:
-            raise ValueError("zoom magnitude too large for frame size")
-        rate = sign * mag / (size / 2.0)
-        if sign > 0:
-            margin = 4
-        else:
-            grow = 1.0 / (1.0 + rate) ** (n - 1)
-            margin = int(np.ceil((size / 2.0) * (grow - 1.0))) + 4
-    elif spec.class_label == "static":
-        margin = int(np.ceil(spec.jitter)) + 4
-    else:
-        margin = int(np.ceil(span)) + 4
+    margin = _canvas_margin(spec)
 
     tex = _texture(rng, size + 2 * margin, size + 2 * margin)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -172,7 +188,7 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
             s = (1.0 + sign * mag / (size / 2.0)) ** t
             sy = ctex + (yy - c) / s
             sx = ctex + (xx - c) / s
-        frame = sample_bilinear(tex, sy, sx, border="reflect")
+        frame = sample_bilinear(tex, sy, sx)
         if fg_alpha is not None:
             frame = frame * (1.0 - fg_alpha) + fg_pattern * fg_alpha
         frames.append(_emit(frame))
@@ -235,6 +251,10 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     for c in classes:
         if c not in CLASSES:
             raise DataError(f"unknown class {c!r}, valid classes: {', '.join(CLASSES)}")
+    if "zoom" in classes:
+        # refuse before writing anything: any zoom clip may draw the largest
+        # magnitude and zoom out
+        _canvas_margin(SynthSpec("zoom", frames, size, max(magnitude_range), -1))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from dgme._meta import format_meta
-from dgme.descriptor import DgmeConfig
+from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DESCRIPTOR_LENGTH, DIRECTIONAL_BINS, GRID
 from dgme.errors import DataError
 
 
@@ -26,14 +26,14 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def aggregate_bins(matrix: np.ndarray, cfg: DgmeConfig) -> tuple[np.ndarray, float]:
+def aggregate_bins(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Sum features over clips and cells; returns (directional[12], static mass)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.shape[1] != cfg.length:
-        raise DataError(f"feature width {matrix.shape[1]} does not match config ({cfg.length})")
-    cells = matrix.sum(axis=0).reshape(cfg.grid * cfg.grid, cfg.bins_per_cell)
-    directional = cells[:, : cfg.directional_bins].sum(axis=0)
-    static = float(cells[:, cfg.directional_bins].sum())
+    if matrix.shape[1] != DESCRIPTOR_LENGTH:
+        raise DataError(f"feature width {matrix.shape[1]} is not {DESCRIPTOR_LENGTH}")
+    cells = matrix.sum(axis=0).reshape(GRID * GRID, BINS_PER_CELL)
+    directional = cells[:, :DIRECTIONAL_BINS].sum(axis=0)
+    static = float(cells[:, DIRECTIONAL_BINS].sum())
     return directional, static
 
 
@@ -83,17 +83,17 @@ def rose_svg(directional: np.ndarray, meta: dict | None = None,
     return "\n".join(line for line in lines if line) + "\n"
 
 
-def grid_arrow_angles(values: np.ndarray, cfg: DgmeConfig) -> list[float | None]:
+def grid_arrow_angles(values: np.ndarray) -> list[float | None]:
     """Circular-mean angle per cell, or None where static mass dominates."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (cfg.length,):
-        raise DataError(f"descriptor length {values.shape} does not match config ({cfg.length})")
-    cells = values.reshape(cfg.grid * cfg.grid, cfg.bins_per_cell)
-    centers = np.radians((np.arange(cfg.directional_bins) + 0.5) * cfg.bin_width)
+    if values.shape != (DESCRIPTOR_LENGTH,):
+        raise DataError(f"descriptor shape {values.shape} is not ({DESCRIPTOR_LENGTH},)")
+    cells = values.reshape(GRID * GRID, BINS_PER_CELL)
+    centers = np.radians((np.arange(DIRECTIONAL_BINS) + 0.5) * BIN_WIDTH)
     angles: list[float | None] = []
     for cell in cells:
-        directional = cell[: cfg.directional_bins]
-        static = cell[cfg.directional_bins]
+        directional = cell[:DIRECTIONAL_BINS]
+        static = cell[DIRECTIONAL_BINS]
         total = directional.sum()
         if total <= 0 or static >= total:
             angles.append(None)
@@ -104,15 +104,14 @@ def grid_arrow_angles(values: np.ndarray, cfg: DgmeConfig) -> list[float | None]
     return angles
 
 
-def grid_svg(values: np.ndarray, cfg: DgmeConfig, meta: dict | None = None,
-             cell_px: int = 90) -> str:
+def grid_svg(values: np.ndarray, meta: dict | None = None, cell_px: int = 90) -> str:
     """3x3 grid map: shading by directional mass, arrows by mean direction."""
     values = np.asarray(values, dtype=np.float64)
-    angles = grid_arrow_angles(values, cfg)
-    cells = values.reshape(cfg.grid * cfg.grid, cfg.bins_per_cell)
-    dir_mass = cells[:, : cfg.directional_bins].sum(axis=1)
+    angles = grid_arrow_angles(values)
+    cells = values.reshape(GRID * GRID, BINS_PER_CELL)
+    dir_mass = cells[:, :DIRECTIONAL_BINS].sum(axis=1)
     peak = dir_mass.max()
-    size = cfg.grid * cell_px
+    size = GRID * cell_px
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -121,8 +120,8 @@ def grid_svg(values: np.ndarray, cfg: DgmeConfig, meta: dict | None = None,
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for k in range(cfg.grid * cfg.grid):
-        i, j = divmod(k, cfg.grid)
+    for k in range(GRID * GRID):
+        i, j = divmod(k, GRID)
         x, y = j * cell_px, i * cell_px
         if dir_mass[k] > 0 and peak > 0:
             shade = int(round(255 - 200 * dir_mass[k] / peak))  # darker = more motion

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from dgme._resample import _reflect_coords
 from dgme.descriptor import descriptor_from_polar
 from dgme.errors import DataError
 from dgme.flow import FlowField, cart2polar
@@ -75,20 +74,13 @@ def block_match_descriptor(seq, cfg, block: int = 8, search_radius: int = 7):
     return descriptor_from_polar(fields, cfg)
 
 
-def sample_bilinear_2d(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                       border: str = "clamp") -> np.ndarray:
+def sample_bilinear_2d(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Bilinear sampling of one plane by 2-D fancy indexing, each call
     computing its own neighbour indices and weights (the reference the
     shared-index sampler must match bit for bit)."""
     h, w = plane.shape
-    ys = np.asarray(ys, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    if border == "reflect":
-        ys = _reflect_coords(ys, h)
-        xs = _reflect_coords(xs, w)
-    else:
-        ys = np.clip(ys, 0.0, float(h - 1))
-        xs = np.clip(xs, 0.0, float(w - 1))
+    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, float(h - 1))
+    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, float(w - 1))
     y0 = np.clip(np.floor(ys).astype(np.int64), 0, max(h - 2, 0))
     x0 = np.clip(np.floor(xs).astype(np.int64), 0, max(w - 2, 0))
     fy = ys - y0

@@ -30,7 +30,7 @@ from dgme.evaluation import (
     load_schema,
     stratified_split,
 )
-from dgme.flow import FarnebackConfig, PolarFlow, farneback_flow
+from dgme.flow import PolarFlow, farneback_flow
 from oracles import block_match_descriptor
 from test_model import gradient_check_instances
 
@@ -78,7 +78,7 @@ def test_acceptance_1_descriptor_oracle():
         for seed in range(40):
             clip, sign = _criterion1_clip(label, seed)
             desc_b = block_match_descriptor(clip, CFG, block=8, search_radius=7)
-            desc_f = compute_dgme(clip, CFG, flow_cfg=FarnebackConfig())
+            desc_f = compute_dgme(clip, CFG)
             cells_b = desc_b.reshape(9, 13)[:, :12].argmax(axis=1)
             cells_f = desc_f.reshape(9, 13)[:, :12].argmax(axis=1)
             if label == "zoom":
@@ -268,7 +268,7 @@ def _extract_set(corpus_dir: Path, rows, sampling) -> tuple:
         seq = load_clip(corpus_dir / rel, sampling)
         ids.append(seq.clip_id)
         labels.append(label)
-        vecs.append(compute_dgme(seq, CFG, FarnebackConfig()))
+        vecs.append(compute_dgme(seq, CFG))
     return ids, labels, np.stack(vecs)
 
 

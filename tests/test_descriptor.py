@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import dgme.descriptor
 from dgme import synth
 from dgme.descriptor import (
+    DESCRIPTOR_LENGTH,
     DgmeConfig,
     NormStats,
     apply_zscore,
@@ -21,7 +22,7 @@ from dgme.descriptor import (
     write_stats_json,
 )
 from dgme.errors import DataError, NumericError
-from dgme.flow import FarnebackConfig, PolarFlow
+from dgme.flow import PolarFlow
 from oracles import block_match_descriptor
 
 CFG = DgmeConfig()
@@ -94,7 +95,9 @@ def test_grid_cells_remainder_absorbed_by_last():
 # ---------------------------------------------------------------------------
 
 def test_descriptor_length_default():
-    assert CFG.length == 117
+    assert DESCRIPTOR_LENGTH == 117
+    fields = [_polar(np.zeros((6, 6)), np.zeros((6, 6)))]
+    assert descriptor_from_polar(fields, CFG).shape == (DESCRIPTOR_LENGTH,)
 
 
 def test_identical_frames_all_static_mass():
@@ -103,7 +106,7 @@ def test_identical_frames_all_static_mass():
     from dgme.videoio import FrameSequence
 
     seq = FrameSequence(seq_frames, "still")
-    desc = compute_dgme(seq, CFG, FarnebackConfig())
+    desc = compute_dgme(seq, CFG)
     cells = desc.reshape(9, 13)
     assert np.all(cells[:, :12] == 0.0)
     # 15x15 frame over a 3x3 grid: all cells 5x5, equal static mass
@@ -223,7 +226,7 @@ def test_compute_dgme_calls_flow_and_polar_once_per_frame_pair(monkeypatch):
     clip = synth.make_clip(synth.SynthSpec("pan", frames=frames, size=32, texture_seed=1))
     compute_dgme(clip, CFG)
     assert len(calls["farneback_flow"]) == len(calls["cart2polar"]) == frames - 1
-    for t, (prev, nxt, _cfg) in enumerate(calls["farneback_flow"]):
+    for t, (prev, nxt) in enumerate(calls["farneback_flow"]):
         assert prev.shape == nxt.shape == (32, 32)
         assert np.array_equal(prev, clip.frames[t]) and np.array_equal(nxt, clip.frames[t + 1])
     for (field,) in calls["cart2polar"]:
@@ -301,10 +304,15 @@ def test_zscore_length_mismatch():
 
 
 def test_config_hash_sensitivity():
-    base = config_hash(DgmeConfig(), FarnebackConfig())
-    assert base == config_hash(DgmeConfig(), FarnebackConfig())
-    assert base != config_hash(DgmeConfig(magnitude_threshold=0.6), FarnebackConfig())
-    assert base != config_hash(DgmeConfig(), FarnebackConfig(window_size=13))
+    base = config_hash(DgmeConfig())
+    assert base == config_hash(DgmeConfig())
+    assert base != config_hash(DgmeConfig(magnitude_threshold=0.6))
+
+
+def test_config_hash_pinned():
+    # the hash of every artifact written with the default threshold, from
+    # the same payload as when the geometry and flow settings were options
+    assert config_hash(DgmeConfig()) == "db5120ef2e5d"
 
 
 # ---------------------------------------------------------------------------

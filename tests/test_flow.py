@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from conftest import blurred_noise
 from dgme import flow
 from dgme._resample import sample_bilinear, sample_bilinear_planes
 from dgme.errors import DataError
-from dgme.flow import FarnebackConfig, FlowField, cart2polar, farneback_flow
+from dgme.flow import FlowField, cart2polar, farneback_flow
 from oracles import block_match_flow, sample_bilinear_2d
 
 
@@ -111,11 +109,9 @@ def test_farneback_deterministic(texture128):
     h=st.integers(1, 6), w=st.integers(1, 6), n_planes=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     span=st.sampled_from([0.5, 3.0, 1e3, 1e9]),
-    border=st.sampled_from(["clamp", "reflect"]),
     dtype=st.sampled_from([np.float64, np.float32, np.uint8]),
 )
-def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span, border,
-                                                      dtype):
+def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span, dtype):
     # h or w of 1 or 2 collapses the 2x2 neighbourhood; a large span puts
     # coordinates far outside the frame on every side
     rng = np.random.default_rng(seed)
@@ -126,11 +122,11 @@ def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span
                   for _ in range(n_planes)]
     ys = rng.uniform(-span, h - 1 + span, size=(h, w))
     xs = rng.uniform(-span, w - 1 + span, size=(h, w))
-    shared = sample_bilinear_planes(planes, ys, xs, border)
+    shared = sample_bilinear_planes(planes, ys, xs)
     assert len(shared) == n_planes
     for plane, warped in zip(planes, shared):
-        reference = sample_bilinear_2d(plane, ys, xs, border)
-        assert np.array_equal(warped, sample_bilinear(plane, ys, xs, border))
+        reference = sample_bilinear_2d(plane, ys, xs)
+        assert np.array_equal(warped, sample_bilinear(plane, ys, xs))
         assert np.array_equal(warped, reference)
 
 
@@ -140,10 +136,10 @@ def test_shared_index_warp_refuses_mismatched_planes():
                                np.zeros((4, 4)), np.zeros((4, 4)))
 
 
-def _cold_flow(prev, nxt, cfg):
+def _cold_flow(prev, nxt):
     """Flow with the expansion memo emptied first."""
     flow._last_expansion = None
-    return farneback_flow(prev, nxt, cfg)
+    return farneback_flow(prev, nxt)
 
 
 def _same_flow(a, b):
@@ -152,49 +148,32 @@ def _same_flow(a, b):
 
 def test_memo_misses_on_other_frame_of_same_shape():
     f = [blurred_noise(seed, 48, 48) for seed in range(4)]
-    cfg = FarnebackConfig()
-    cold = _cold_flow(f[2], f[3], cfg)
-    farneback_flow(f[0], f[1], cfg)  # the memo now holds f[1]
-    assert _same_flow(farneback_flow(f[2], f[3], cfg), cold)
+    cold = _cold_flow(f[2], f[3])
+    farneback_flow(f[0], f[1])  # the memo now holds f[1]
+    assert _same_flow(farneback_flow(f[2], f[3]), cold)
     # prev is not the frame the memo holds (f[2])
-    cold = _cold_flow(f[1], f[3], cfg)
-    farneback_flow(f[0], f[2], cfg)
-    assert _same_flow(farneback_flow(f[1], f[3], cfg), cold)
+    cold = _cold_flow(f[1], f[3])
+    farneback_flow(f[0], f[2])
+    assert _same_flow(farneback_flow(f[1], f[3]), cold)
 
 
 def test_memo_misses_on_frame_mutated_in_place():
     a, b, c = (blurred_noise(seed, 48, 48) for seed in range(3))
-    cfg = FarnebackConfig()
-    farneback_flow(a, b, cfg)  # the memo now holds b
+    farneback_flow(a, b)  # the memo now holds b
     b[10:20, 10:20] = 255 - b[10:20, 10:20]
-    warm = farneback_flow(b, c, cfg)
-    assert _same_flow(warm, _cold_flow(b, c, cfg))
-
-
-@pytest.mark.parametrize("change", [
-    {"poly_sigma": 1.5}, {"pyramid_levels": 2}, {"pyramid_scale": 0.6}, {"poly_n": 7},
-], ids=["poly_sigma", "pyramid_levels", "pyramid_scale", "poly_n"])
-def test_memo_misses_on_other_expansion_config(change):
-    a, b, c = (blurred_noise(seed, 48, 48) for seed in range(3))
-    base = FarnebackConfig()
-    other = replace(base, **change)
-    for first, second in ((base, other), (other, base)):
-        farneback_flow(a, b, first)  # the memo now holds b under ``first``
-        warm = farneback_flow(b, c, second)
-        assert _same_flow(warm, _cold_flow(b, c, second))
-        assert not _same_flow(warm, _cold_flow(b, c, first))
+    warm = farneback_flow(b, c)
+    assert _same_flow(warm, _cold_flow(b, c))
 
 
 def test_memo_hit_equals_cold_call_and_expands_each_frame_once(monkeypatch):
     frames = [blurred_noise(seed, 40, 40) for seed in range(5)]
-    cfg = FarnebackConfig()
-    cold = [_cold_flow(frames[t], frames[t + 1], cfg) for t in range(4)]
+    cold = [_cold_flow(frames[t], frames[t + 1]) for t in range(4)]
     calls = []
     expand = flow._expand_frame
     monkeypatch.setattr(flow, "_expand_frame",
                         lambda frame, *rest: calls.append(1) or expand(frame, *rest))
     flow._last_expansion = None
-    warm = [farneback_flow(frames[t], frames[t + 1], cfg) for t in range(4)]
+    warm = [farneback_flow(frames[t], frames[t + 1]) for t in range(4)]
     assert all(_same_flow(x, y) for x, y in zip(warm, cold))
     assert len(calls) == len(frames)
 
@@ -250,18 +229,3 @@ def test_estimators_agree_on_integer_translation(texture128):
     du = fb.u[inner, inner].astype(np.float64) - bm.u[inner, inner].astype(np.float64)
     dv = fb.v[inner, inner].astype(np.float64) - bm.v[inner, inner].astype(np.float64)
     assert float(np.median(np.hypot(du, dv))) < 0.5
-
-
-# ---------------------------------------------------------------------------
-# config validation
-# ---------------------------------------------------------------------------
-
-def test_farneback_config_validation():
-    with pytest.raises(ValueError):
-        FarnebackConfig(pyramid_scale=1.5)
-    with pytest.raises(ValueError):
-        FarnebackConfig(window_size=4)
-    with pytest.raises(ValueError):
-        FarnebackConfig(poly_n=2)
-    with pytest.raises(ValueError):
-        FarnebackConfig(pyramid_levels=0)

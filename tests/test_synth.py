@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -211,3 +212,15 @@ def test_make_corpus_historical_contains_duplicate_frames(tmp_path):
 def test_make_corpus_rejects_unknown_class(tmp_path):
     with pytest.raises(DataError, match="unknown class"):
         synth.make_corpus(tmp_path / "x", ["roll"], 1, "modern", seed=0)
+
+
+def test_zoom_out_canvas_bounded():
+    # 48 px, 12 frames, 4 px/frame spans 7.4x the frame: inside the bound
+    inside = synth.SynthSpec("zoom", frames=12, size=48, motion_magnitude=4.0,
+                             direction_sign=-1)
+    assert synth.make_clip(inside).frames.shape == (12, 48, 48)
+    # at 32 px the same motion spans 23.7x and is refused; zooming in needs
+    # no canvas growth and is not
+    with pytest.raises(ValueError, match="spans 23.7x the frame, more than 8x"):
+        synth.make_clip(replace(inside, size=32))
+    synth.make_clip(replace(inside, size=32, direction_sign=1))

@@ -12,11 +12,9 @@ import dgme.descriptor
 from dgme import synth
 from dgme._meta import format_meta, parse_meta
 from dgme.cli import main
-from dgme.descriptor import DgmeConfig, read_features_csv
+from dgme.descriptor import read_features_csv
 from dgme.evaluation import read_annotations_csv
 from dgme.viz import aggregate_bins, grid_arrow_angles, grid_svg, rose_geometry, rose_svg
-
-CFG = DgmeConfig()
 
 
 def _descriptor_with(cell_bins):
@@ -32,7 +30,7 @@ def test_rose_dominant_wedge_for_pan_right():
     cell = np.zeros(13)
     cell[0] = 5.0  # all directional mass in bin 0
     cell[3] = 1.0
-    directional, static = aggregate_bins(_descriptor_with(cell)[None, :], CFG)
+    directional, static = aggregate_bins(_descriptor_with(cell)[None, :])
     radii = rose_geometry(directional)
     assert radii.argmax() == 0
     assert radii[0] == pytest.approx(120.0)
@@ -45,7 +43,7 @@ def test_rose_zero_mass_is_all_zero_radii():
 def test_grid_all_static_has_no_fill_and_no_arrows():
     cell = np.zeros(13)
     cell[12] = 2.0
-    svg = grid_svg(_descriptor_with(cell), CFG)
+    svg = grid_svg(_descriptor_with(cell))
     assert svg.count('fill="none"') == 9
     assert "<line" not in svg and "<polygon" not in svg
 
@@ -54,7 +52,7 @@ def test_grid_arrow_at_circular_mean():
     cell = np.zeros(13)
     cell[0] = 1.0
     cell[11] = 1.0  # mass split across the 0-degree boundary
-    angles = grid_arrow_angles(_descriptor_with(cell), CFG)
+    angles = grid_arrow_angles(_descriptor_with(cell))
     assert all(a is not None for a in angles)
     # circular mean of bin centers 15 and 345 is 0
     assert angles[0] == pytest.approx(0.0, abs=1e-9)
@@ -64,15 +62,15 @@ def test_grid_arrow_suppressed_when_static_dominates():
     cell = np.zeros(13)
     cell[2] = 1.0
     cell[12] = 1.5
-    angles = grid_arrow_angles(_descriptor_with(cell), CFG)
+    angles = grid_arrow_angles(_descriptor_with(cell))
     assert all(a is None for a in angles)
 
 
 def test_svg_deterministic():
     rng = np.random.default_rng(1)
     values = np.abs(rng.normal(size=117))
-    assert grid_svg(values, CFG) == grid_svg(values.copy(), CFG)
-    directional, _ = aggregate_bins(values[None, :], CFG)
+    assert grid_svg(values) == grid_svg(values.copy())
+    directional, _ = aggregate_bins(values[None, :])
     assert rose_svg(directional) == rose_svg(directional.copy())
 
 
@@ -399,13 +397,32 @@ def _huge_int_in_stats_mean(tmp_path):
             "--stats", str(tmp_path / "s.json"), "--out", str(tmp_path / "n.csv")]
 
 
-def _model_field(tmp_path, key, value):
-    """``_eval_model`` with one field of the model JSON replaced."""
+def _model_field(tmp_path, key, value, **more):
+    """``_eval_model`` with fields of the model JSON replaced."""
     args = _eval_model(tmp_path)
     model = json.loads((tmp_path / "m.json").read_text())
     model[key] = value
+    model.update(more)
     (tmp_path / "m.json").write_text(json.dumps(model))
     return args
+
+
+def _fusion_model_field(tmp_path, key, value):
+    """``_model_field`` of a fusion head, with both clips under ``--clips``."""
+    for cid in ("a", "b"):
+        (tmp_path / f"{cid}.y8seq").write_bytes(
+            b"Y8SQ" + struct.pack("<III", 16, 16, 2) + bytes(512))
+    return _model_field(tmp_path, key, value, mode="fusion") + ["--clips", str(tmp_path)]
+
+
+def _seed_in_features_comment(tmp_path):
+    _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
+    path = tmp_path / "features.csv"
+    path.write_text(path.read_text().replace("seed=0", "seed=abc"))
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"config_hash": "", "count": 2, "mean": [0.0, 0.0], "std": [1.0, 1.0]}))
+    return ["normalize", "--features", str(path), "--stats", str(tmp_path / "s.json"),
+            "--out", str(tmp_path / "n.csv")]
 
 
 def _ragged_annotations(tmp_path):
@@ -440,11 +457,19 @@ def _schema_file(tmp_path, text):
     (_ragged_annotations, "annotations row 2"),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
+    (lambda t: _fusion_model_field(t, "embed_seed", None),
+     "m.json: embed_seed must be an integer >= 0, got None"),
+    (lambda t: _fusion_model_field(t, "embed_dim", -3),
+     "m.json: embed_dim must be an integer >= 0, got -3"),
+    (lambda t: _model_field(t, "seed", "abc"), "m.json: seed must be an integer, got 'abc'"),
+    (lambda t: _model_field(t, "seed", None), "m.json: seed must be an integer, got None"),
+    (_seed_in_features_comment, "features.csv: seed must be an integer, got 'abc'"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
         "string-model-alpha", "string-stats-std", "ragged-annotations-row",
-        "schema-without-classes", "malformed-schema"])
+        "schema-without-classes", "malformed-schema", "null-embed-seed", "negative-embed-dim",
+        "string-model-seed", "null-model-seed", "string-features-seed"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
@@ -495,3 +520,45 @@ def test_cli_train_and_eval_read_features_once(mini_corpus, tmp_path, monkeypatc
                  "--out-metrics", str(tmp_path / "mm.json"),
                  "--out-confusion", str(tmp_path / "cm.csv")]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["dgme-only", "fusion"])
+def test_cli_train_on_empty_split_is_data_error(mini_corpus, tmp_path, capsys, mode):
+    # a corpus with few clips per class can give an empty validation split
+    corpus = mini_corpus / "corpus"
+    features = mini_corpus / "features.csv"
+    splits, stats = tmp_path / "splits", tmp_path / "s.json"
+    assert main(["split", "--ann", str(corpus / "annotations.csv"), "--schema", "modern4",
+                 "--seed", "5", "--out-dir", str(splits)]) == 0
+    assert main(["stats", "--features", str(features), "--out", str(stats)]) == 0
+    (splits / "val.csv").write_text("clip_path,label\n")
+    capsys.readouterr()
+    rc = main(["train", "--features", str(features), "--train", str(splits / "train.csv"),
+               "--val", str(splits / "val.csv"), "--mode", mode, "--stats", str(stats),
+               "--clips", str(corpus), "--schema", "modern4", "--out", str(tmp_path / "m.json"),
+               "--epochs", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training and validation sets must be nonempty"]
+
+
+def test_cli_synth_refuses_oversized_zoom_out_before_writing(tmp_path, capsys):
+    # 32 px, 12 frames and up to 4 px/frame can draw a zoom-out spanning 24x
+    # the frame; the corpus is refused before its directory is made
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--classes", "static,zoom", "--per-class", "2", "--out", str(out),
+               "--size", "32", "--frames", "12"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: zoom-out of 4 px/frame")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mthr", ["-1", "nan", "inf"])
+def test_cli_extract_refuses_bad_threshold(tmp_path, capsys, mthr):
+    # refused as a bad option before any flow runs, not as a non-finite
+    # descriptor after every clip's flow
+    rc = main(_y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan")) + [f"--mthr={mthr}"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: magnitude_threshold must be finite and >= 0"]
