@@ -207,10 +207,11 @@ def cmd_extract(args) -> int:
         clip_ids[cid] = i
         tasks.append((i, str(clip_path), sampling, dcfg))
 
-    if args.jobs <= 1:
+    workers = min(args.jobs, len(tasks))  # at most one worker per clip
+    if workers <= 1:
         results = [_extract_one(t) for t in tasks]
     else:
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_extract_one, tasks, chunksize=8)
     matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
     labels = [label for _, label in rows]
@@ -354,11 +355,8 @@ def cmd_train(args) -> int:
         weight_decay=args.weight_decay, early_stop_patience=args.patience,
         seed=args.seed,
     )
-    train_set = mdl.LabeledFeatures(train_ids, x_train, y_train, list(schema.classes),
-                                    backbone=xb_train)
-    val_set = mdl.LabeledFeatures(val_ids, x_val, y_val, list(schema.classes),
-                                  backbone=xb_val)
-    params, log = mdl.train(mode, train_set, val_set, cfg)
+    params, log = mdl.train(list(schema.classes), mdl.LabeledFeatures(x_train, y_train, xb_train),
+                            mdl.LabeledFeatures(x_val, y_val, xb_val), cfg)
 
     cfg_hash = meta.get("config_hash", "")
     model_meta = _out_meta(args.seed, cfg_hash)
@@ -429,8 +427,7 @@ def cmd_eval(args) -> int:
                 args.clips, ids, _meta_int(model_meta, "embed_seed", 0, args.model, 0),
                 _meta_int(model_meta, "embed_dim", 64, args.model, 0),
             )
-        feats = mdl.LabeledFeatures(ids, X, y, list(schema.classes), backbone=backbone)
-        pred_idx = mdl.predict(feats, params)
+        pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
         seed = _meta_int(model_meta, "seed", args.seed, args.model)
         if args.out_predictions:

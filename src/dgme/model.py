@@ -28,6 +28,7 @@ import numpy as np
 from dgme._meta import numbers, read_json, write_json, write_table
 from dgme.descriptor import grid_cells
 from dgme.errors import DataError, NumericError
+from dgme.evaluation import confusion_from_indices, metrics_from_confusion
 from dgme.videoio import FrameSequence
 
 LAYER_NORM_EPS = 1e-5
@@ -83,29 +84,23 @@ class TrainConfig:
 
 @dataclass
 class LabeledFeatures:
-    """Aligned feature arrays for one dataset split."""
+    """Aligned rows of one dataset split, as the head reads them."""
 
-    clip_ids: list[str]
     dgme: np.ndarray               # (N, D)
     labels: np.ndarray             # (N,) int class indices
-    class_names: list[str]
-    backbone: np.ndarray | None = None  # (N, C) or None for descriptor-only
+    backbone: np.ndarray | None = None  # (N, C); None is the empty (N, 0) block
 
     def __post_init__(self):
         self.dgme = np.asarray(self.dgme, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = len(self.clip_ids)
-        if self.dgme.shape[0] != n or self.labels.shape[0] != n:
-            raise ValueError("clip_ids, dgme, labels must align")
-        if self.backbone is not None:
-            self.backbone = np.asarray(self.backbone, dtype=np.float64)
-            if self.backbone.shape[0] != n:
-                raise ValueError("backbone rows must align with clip_ids")
-
-    def backbone_or_empty(self) -> np.ndarray:
+        n = self.dgme.shape[0]
+        if self.labels.shape[0] != n:
+            raise ValueError("dgme and labels must align")
         if self.backbone is None:
-            return np.zeros((len(self.clip_ids), 0), dtype=np.float64)
-        return self.backbone
+            self.backbone = np.zeros((n, 0))
+        self.backbone = np.asarray(self.backbone, dtype=np.float64)
+        if self.backbone.shape[0] != n:
+            raise ValueError("backbone rows must align with dgme rows")
 
 
 def _standardize(x: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
@@ -204,67 +199,49 @@ def init_params(class_names, backbone_dim: int, descriptor_dim: int,
 
 def predict(features: LabeledFeatures, params: FusionHeadParams) -> np.ndarray:
     """Predicted class index per clip."""
-    backbone = features.backbone_or_empty()
-    if backbone.shape[1] != params.backbone_dim:
-        raise DataError(
-            f"embedding dim {backbone.shape[1]} does not match head ({params.backbone_dim})"
-        )
-    if features.dgme.shape[1] != params.descriptor_dim:
-        raise DataError(
-            f"descriptor dim {features.dgme.shape[1]} does not match head ({params.descriptor_dim})"
-        )
-    probs, _, _, _ = _forward_batch(backbone, features.dgme, params)
+    width, dim = features.backbone.shape[1], features.dgme.shape[1]
+    if width != params.backbone_dim:
+        raise DataError(f"embedding dim {width} does not match head ({params.backbone_dim})")
+    if dim != params.descriptor_dim:
+        raise DataError(f"descriptor dim {dim} does not match head ({params.descriptor_dim})")
+    probs, _, _, _ = _forward_batch(features.backbone, features.dgme, params)
     return probs.argmax(axis=1)
 
 
 def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
-    from dgme.evaluation import confusion_from_indices, metrics_from_confusion
-
     cm = confusion_from_indices(y_true, y_pred, num_classes)
     return metrics_from_confusion(cm).macro_f1
 
 
-def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
+def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
           cfg: TrainConfig) -> tuple[FusionHeadParams, list[dict]]:
     """Train a head with AdamW + cosine annealing; early stop on val macro F1.
 
-    head_kind "dgme_only" ignores backbone features (empty block);
-    "fusion" requires them on both splits. Returns the best-epoch
-    parameters and one log row per epoch. Deterministic given cfg.seed.
+    The head's embedding width is the splits' backbone width, so a
+    zero-width backbone trains the descriptor-only head. Returns the
+    best-epoch parameters and one log row per epoch. Deterministic given
+    cfg.seed.
     """
-    if head_kind not in ("dgme_only", "fusion"):
-        raise ValueError(f"unknown head kind {head_kind!r}")
-    if len(train_set.clip_ids) == 0 or len(val_set.clip_ids) == 0:
+    n = train_set.labels.shape[0]
+    if n == 0 or val_set.labels.shape[0] == 0:
         raise DataError("training and validation sets must be nonempty")
-    if train_set.class_names != val_set.class_names:
-        raise DataError("train/val class name lists differ")
-
-    if head_kind == "fusion":
-        if train_set.backbone is None or val_set.backbone is None:
-            raise DataError("fusion head requires backbone embeddings on both splits")
-        xb_train = train_set.backbone
-        xb_val = val_set.backbone
-    else:
-        xb_train = np.zeros((len(train_set.clip_ids), 0))
-        xb_val = np.zeros((len(val_set.clip_ids), 0))
-    if xb_train.shape[1] != xb_val.shape[1]:
+    if train_set.backbone.shape[1] != val_set.backbone.shape[1]:
         raise DataError("train/val embedding dimensions differ")
     if train_set.dgme.shape[1] != val_set.dgme.shape[1]:
         raise DataError("train/val descriptor dimensions differ")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(
-        train_set.class_names, xb_train.shape[1], train_set.dgme.shape[1], seed=cfg.seed
+        class_names, train_set.backbone.shape[1], train_set.dgme.shape[1], seed=cfg.seed
     )
-    num_classes = len(train_set.class_names)
-    n = len(train_set.clip_ids)
     beta1, beta2 = ADAMW_BETAS
-    moments = {
-        k: (np.zeros_like(v), np.zeros_like(v))
-        for k, v in (("alpha", np.zeros(())), ("ln_gain", params.ln_gain),
-                     ("ln_bias", params.ln_bias), ("W", params.W), ("b", params.b))
-    }
+    # alpha is stepped as a 0-d array and copied back to the float field
     alpha_arr = np.array(params.alpha)
+    slots = [
+        (key, p, np.zeros_like(p), np.zeros_like(p))
+        for key, p in (("alpha", alpha_arr), ("ln_gain", params.ln_gain),
+                       ("ln_bias", params.ln_bias), ("W", params.W), ("b", params.b))
+    ]
 
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -284,19 +261,14 @@ def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
             idx = order[start : start + cfg.batch_size]
             lr = cosine_lr(global_step, total_steps, cfg.lr_max, COSINE_FLOOR)
             loss, grads = backward(
-                xb_train[idx], train_set.dgme[idx], train_set.labels[idx], params
+                train_set.backbone[idx], train_set.dgme[idx], train_set.labels[idx], params
             )
             losses.append(loss)
             adam_t += 1
             bc1 = 1.0 - beta1 ** adam_t
             bc2 = 1.0 - beta2 ** adam_t
-            tensors = {
-                "alpha": alpha_arr, "ln_gain": params.ln_gain,
-                "ln_bias": params.ln_bias, "W": params.W, "b": params.b,
-            }
-            for key, p in tensors.items():
+            for key, p, m, v in slots:
                 g = np.asarray(grads[key], dtype=np.float64)
-                m, v = moments[key]
                 m *= beta1
                 m += (1.0 - beta1) * g
                 v *= beta2
@@ -310,13 +282,7 @@ def train(head_kind: str, train_set: LabeledFeatures, val_set: LabeledFeatures,
             params.alpha = float(alpha_arr)
             global_step += 1
 
-        val_pred = predict(
-            LabeledFeatures(val_set.clip_ids, val_set.dgme, val_set.labels,
-                            val_set.class_names,
-                            backbone=None if head_kind == "dgme_only" else val_set.backbone),
-            params,
-        )
-        val_f1 = _macro_f1(val_set.labels, val_pred, num_classes)
+        val_f1 = _macro_f1(val_set.labels, predict(val_set, params), len(class_names))
         log.append(
             {
                 "epoch": epoch,

@@ -15,10 +15,11 @@ Five classes are rendered by animating a seeded procedural texture
           (camera-follows-object semantics)
 
 The texture canvas is oversized by the total motion extent plus 4 px, so
-every bilinear sample lies at least 4 px inside it. A zoom-out needs a
-canvas that grows geometrically with the frame count; a clip whose last
-frame would span more than ``MAX_ZOOM_OUT`` times the frame side is
-refused before anything is allocated. A separate degradation stage
+every bilinear sample lies at least 4 px inside it. A translation's
+canvas grows with magnitude times frame count, a zoom-out's
+geometrically with the frame count; a clip whose motion would span more
+than ``MAX_TEXTURE_SPAN`` times the frame side of texture is refused
+before anything is allocated. A separate degradation stage
 simulates archival footage: contrast compression, blur, flicker, noise,
 and frame repeats.
 """
@@ -41,9 +42,9 @@ CLASSES = ("static", "tilt", "pan", "zoom", "track")
 # residual motion still considered "static", exposed as the default jitter cap
 STATIC_JITTER_MAX = 0.2
 
-# widest zoom-out: the texture side the last frame spans over the frame
-# side, which bounds the canvas (the default corpus spec reaches 2.03)
-MAX_ZOOM_OUT = 8.0
+# widest motion: the texture side a clip spans over the frame side, which
+# bounds the canvas (the default corpus spec reaches 2.03 with a zoom-out)
+MAX_TEXTURE_SPAN = 8.0
 
 
 @dataclass
@@ -119,25 +120,33 @@ def _emit(frame: np.ndarray) -> np.ndarray:
     return np.round(frame).clip(0, 255).astype(np.uint8)
 
 
+def _span_error(motion: str, spec: SynthSpec, span: float) -> ValueError:
+    return ValueError(
+        f"{motion} of {spec.motion_magnitude:g} px/frame over {spec.frames} frames of "
+        f"{spec.size} px spans {span:.3g}x the frame, more than {MAX_TEXTURE_SPAN:g}x: "
+        "lower the magnitude or the frame count, or raise the size"
+    )
+
+
 def _canvas_margin(spec: SynthSpec) -> int:
     """Texture border around the frame that the clip's motion needs."""
     size, n, mag = spec.size, spec.frames, spec.motion_magnitude
     if spec.class_label == "static":
         return int(np.ceil(spec.jitter)) + 4
     if spec.class_label != "zoom":
-        return int(np.ceil(mag * (n - 1))) + 4
+        # the clip's frames together span size + travel px along the motion
+        travel = mag * (n - 1)
+        if size + travel > MAX_TEXTURE_SPAN * size:
+            raise _span_error(spec.class_label, spec, (size + travel) / size)
+        return int(np.ceil(travel)) + 4
     if mag >= size / 2.0:
         raise ValueError("zoom magnitude too large for frame size")
     if spec.direction_sign > 0:
         return 4
     # the last frame spans 1/shrink times the frame side on the texture
     shrink = (1.0 - mag / (size / 2.0)) ** (n - 1)
-    if shrink * MAX_ZOOM_OUT < 1.0:
-        raise ValueError(
-            f"zoom-out of {mag:g} px/frame over {n} frames of {size} px spans "
-            f"{1.0 / shrink:.3g}x the frame, more than {MAX_ZOOM_OUT:g}x: lower the "
-            "magnitude or the frame count, or raise the size"
-        )
+    if shrink * MAX_TEXTURE_SPAN < 1.0:
+        raise _span_error("zoom-out", spec, 1.0 / shrink)
     return int(np.ceil((size / 2.0) * (1.0 / shrink - 1.0))) + 4
 
 
@@ -251,10 +260,10 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     for c in classes:
         if c not in CLASSES:
             raise DataError(f"unknown class {c!r}, valid classes: {', '.join(CLASSES)}")
-    if "zoom" in classes:
-        # refuse before writing anything: any zoom clip may draw the largest
-        # magnitude and zoom out
-        _canvas_margin(SynthSpec("zoom", frames, size, max(magnitude_range), -1))
+        if c != "static":
+            # refuse before writing anything: any clip may draw the largest
+            # magnitude, and a zoom clip may zoom out
+            _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -103,6 +103,8 @@ def read_y8seq(path) -> FrameSequence:
     width, height, count = struct.unpack("<III", data[4:16])
     if count < 2:
         raise DataError(f"{path} holds {count} frames, a clip needs at least 2")
+    if width == 0 or height == 0:
+        raise DataError(f"{path} holds {width}x{height} frames, a clip needs at least 1x1")
     expected = 16 + width * height * count
     if len(data) != expected:
         raise DataError(
@@ -143,6 +145,8 @@ def _read_pnm(path: Path) -> np.ndarray:
         raise DataError(f"malformed PNM header in {path}: {exc}") from exc
     if maxval != 255:
         raise DataError(f"unsupported PNM maxval {maxval} in {path} (only 255)")
+    if width < 1 or height < 1:
+        raise DataError(f"{path} is a {width}x{height} frame, a clip needs at least 1x1")
 
     channels = 3 if color else 1
     expected = width * height * channels

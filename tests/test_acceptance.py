@@ -308,12 +308,10 @@ def _ablation_macro_f1(seed: int, root: Path) -> tuple[float, float]:
                 return matrix
             return np.stack([apply_zscore(row, stats) for row in matrix])
 
-        train_set = LabeledFeatures([mod_ids[i] for i in tr_idx], tx(mod_x[tr_idx]),
-                                    y_mod[tr_idx], list(schema.classes))
-        val_set = LabeledFeatures([mod_ids[i] for i in va_idx], tx(mod_x[va_idx]),
-                                  y_mod[va_idx], list(schema.classes))
-        params, _ = train("dgme_only", train_set, val_set, TrainConfig(seed=seed))
-        hist_set = LabeledFeatures(hist_ids, tx(hist_x), y_hist, list(schema.classes))
+        train_set = LabeledFeatures(tx(mod_x[tr_idx]), y_mod[tr_idx])
+        val_set = LabeledFeatures(tx(mod_x[va_idx]), y_mod[va_idx])
+        params, _ = train(list(schema.classes), train_set, val_set, TrainConfig(seed=seed))
+        hist_set = LabeledFeatures(tx(hist_x), y_hist)
         cm = confusion_from_indices(y_hist, predict(hist_set, params), len(schema.classes))
         results.append(metrics_from_confusion(cm).macro_f1)
     return results[0], results[1]  # (calibrated, raw)

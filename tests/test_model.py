@@ -42,8 +42,7 @@ def _probs(e, d, params):
 
 
 def _one_clip(e, d):
-    return LabeledFeatures(["x"], np.atleast_2d(d), np.zeros(1), ["a", "b"],
-                           backbone=np.atleast_2d(e))
+    return LabeledFeatures(np.atleast_2d(d), np.zeros(1), backbone=np.atleast_2d(e))
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +110,8 @@ def test_argmax_invariant_to_joint_positive_scaling():
     scaled = p.copy()
     scaled.W = p.W * 3.7
     scaled.b = p.b * 3.7
-    feats = LabeledFeatures([f"x{i}" for i in range(20)], rng.normal(size=(20, 6)),
-                            np.zeros(20), p.class_names, backbone=rng.normal(size=(20, 4)))
+    feats = LabeledFeatures(rng.normal(size=(20, 6)), np.zeros(20),
+                            backbone=rng.normal(size=(20, 4)))
     assert np.array_equal(predict(feats, p), predict(feats, scaled))
 
 
@@ -259,8 +258,7 @@ def _separable_toy(n_per_class=30, seed=0):
     x1 = rng.normal(size=(n_per_class, d)) - np.r_[3.0, np.zeros(d - 1)]
     X = np.vstack([x0, x1])
     y = np.array([0] * n_per_class + [1] * n_per_class)
-    ids = [f"t{i}" for i in range(len(y))]
-    return LabeledFeatures(ids, X, y, ["a", "b"])
+    return LabeledFeatures(X, y)
 
 
 def test_training_separates_toy_set():
@@ -268,7 +266,7 @@ def test_training_separates_toy_set():
     val_set = _separable_toy(seed=2)
     cfg = TrainConfig(epochs=12, batch_size=16, lr_max=0.05, seed=0,
                       early_stop_patience=12)
-    params, log = train("dgme_only", train_set, val_set, cfg)
+    params, log = train(["a", "b"], train_set, val_set, cfg)
 
     from dgme.model import predict
 
@@ -283,8 +281,8 @@ def test_training_deterministic():
     train_set = _separable_toy(seed=3)
     val_set = _separable_toy(seed=4)
     cfg = TrainConfig(epochs=5, batch_size=8, seed=11)
-    p1, log1 = train("dgme_only", train_set, val_set, cfg)
-    p2, log2 = train("dgme_only", train_set, val_set, cfg)
+    p1, log1 = train(["a", "b"], train_set, val_set, cfg)
+    p2, log2 = train(["a", "b"], train_set, val_set, cfg)
     assert log1 == log2
     assert np.array_equal(p1.W, p2.W) and np.array_equal(p1.b, p2.b)
     assert p1.alpha == p2.alpha
@@ -294,16 +292,59 @@ def test_training_early_stops_on_plateau():
     train_set = _separable_toy(seed=5)
     val_set = _separable_toy(seed=6)
     cfg = TrainConfig(epochs=50, batch_size=16, seed=0, early_stop_patience=2)
-    _, log = train("dgme_only", train_set, val_set, cfg)
+    _, log = train(["a", "b"], train_set, val_set, cfg)
     assert len(log) < 50
+
+
+def _with_backbone(features, width, seed):
+    """``features`` with a seeded ``width``-wide embedding that leans on the label."""
+    rng = np.random.default_rng(seed)
+    labels = features.labels
+    return LabeledFeatures(features.dgme, labels,
+                           backbone=rng.normal(size=(len(labels), width)) + 0.5 * labels[:, None])
 
 
 def test_training_rejects_empty_and_mismatched():
     s = _separable_toy()
-    with pytest.raises(DataError):
-        train("fusion", s, s, TrainConfig())  # no backbone features
-    with pytest.raises(ValueError):
-        train("other", s, s, TrainConfig())
+    empty = LabeledFeatures(np.zeros((0, 8)), np.zeros(0))
+    with pytest.raises(DataError, match="nonempty"):
+        train(["a", "b"], s, empty, TrainConfig())
+    # a zero-width backbone on one split and a 4-wide one on the other
+    with pytest.raises(DataError, match="embedding dimensions differ"):
+        train(["a", "b"], s, _with_backbone(s, 4, 0), TrainConfig())
+
+
+# ``%.9g`` text of each log row (epoch, step, lr, train_loss, val_macro_f1,
+# alpha) and of the best head's alpha, for a zero-width (descriptor-only) and
+# a 4-wide embedding: any change to the training arithmetic shows here
+GOLDEN_TRAINING = {
+    0: ("""\
+1 4 0.0480973689 0.850912132 0.899553571 0.848819979
+2 8 0.0402209919 0.337672581 0.983328702 0.858457914
+3 12 0.0282675022 0.150626569 0.983328702 0.920214084
+4 16 0.0154398276 0.0806206856 0.983328702 0.968007699
+5 20 0.00517513326 0.057224014 0.983328702 0.989108952
+6 24 0.00022383569 0.0504765197 0.983328702 0.993016651""", "0.858457914"),
+    4: ("""\
+1 4 0.0480973689 0.479895257 0.916457811 1.02199272
+2 8 0.0402209919 0.123376523 0.983328702 1.17328872
+3 12 0.0282675022 0.0264814395 0.983328702 1.281448
+4 16 0.0154398276 0.00937008801 0.983328702 1.33474819
+5 20 0.00517513326 0.00572247265 0.983328702 1.353374
+6 24 0.00022383569 0.00495595871 0.983328702 1.3561705""", "1.17328872"),
+}
+
+
+@pytest.mark.parametrize("width", sorted(GOLDEN_TRAINING))
+def test_training_matches_golden_log(width):
+    train_set, val_set = _separable_toy(seed=1), _separable_toy(seed=2)
+    if width:
+        train_set, val_set = _with_backbone(train_set, width, 10), _with_backbone(val_set, width, 11)
+    cfg = TrainConfig(epochs=6, batch_size=16, lr_max=0.05, seed=3, early_stop_patience=6)
+    params, log = train(["a", "b"], train_set, val_set, cfg)
+    keys = ("epoch", "step", "lr", "train_loss", "val_macro_f1", "alpha")
+    rows = "\n".join(" ".join(f"{row[k]:.9g}" for k in keys) for row in log)
+    assert (rows, f"{params.alpha:.9g}") == GOLDEN_TRAINING[width]
 
 
 # ---------------------------------------------------------------------------

@@ -224,3 +224,15 @@ def test_zoom_out_canvas_bounded():
     with pytest.raises(ValueError, match="spans 23.7x the frame, more than 8x"):
         synth.make_clip(replace(inside, size=32))
     synth.make_clip(replace(inside, size=32, direction_sign=1))
+
+
+def test_translation_canvas_bounded():
+    # 8 frames of 16 px at 16 px/frame span exactly 8x the frame: allowed
+    edge = synth.SynthSpec("pan", frames=8, size=16, motion_magnitude=16.0)
+    assert synth._canvas_margin(edge) == 116
+    with pytest.raises(ValueError, match="spans 8.01x the frame, more than 8x"):
+        synth._canvas_margin(replace(edge, motion_magnitude=16.02))
+    # 1000 px/frame would need a 22,024 px canvas; refused before allocating
+    for label in ("pan", "tilt", "track"):
+        with pytest.raises(ValueError, match=f"{label} of 1000 px/frame over 12 frames"):
+            synth._canvas_margin(synth.SynthSpec(label, 12, 16, 1000.0))

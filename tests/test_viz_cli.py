@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dgme
+import dgme.cli
 import dgme.descriptor
 from dgme import synth
 from dgme._meta import format_meta, parse_meta
@@ -350,14 +351,26 @@ def _features_file(tmp_path, *rows):
     return ["stats", "--features", str(path), "--out", str(tmp_path / "s.json")]
 
 
-def _y8seq_corpus(tmp_path, *clips):
-    """Corpus of (relative path, frame count, label) clips of 16x16 black frames."""
+def _y8seq_corpus(tmp_path, *clips, width=16, height=16):
+    """Corpus of (relative path, frame count, label) clips of black frames."""
     for rel, count, _ in clips:
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"Y8SQ" + struct.pack("<III", 16, 16, count) + bytes(256 * count))
+        path.write_bytes(b"Y8SQ" + struct.pack("<III", width, height, count)
+                         + bytes(width * height * count))
     ann = tmp_path / "annotations.csv"
     ann.write_text("clip_path,label\n" + "".join(f"{rel},{label}\n" for rel, _, label in clips))
+    return ["extract", "--ann", str(ann), "--out", str(tmp_path / "f.csv"),
+            "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
+
+
+def _pgm_dir_corpus(tmp_path, frame):
+    """Corpus of one clip: a directory of two copies of the PGM ``frame``."""
+    (tmp_path / "clip").mkdir()
+    for name in ("f0.pgm", "f1.pgm"):
+        (tmp_path / "clip" / name).write_bytes(frame)
+    ann = tmp_path / "annotations.csv"
+    ann.write_text("clip_path,label\nclip,pan\n")
     return ["extract", "--ann", str(ann), "--out", str(tmp_path / "f.csv"),
             "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
 
@@ -446,6 +459,10 @@ def _schema_file(tmp_path, text):
      "row 3 (a) repeats the clip id of row 1"),
     (lambda t: _y8seq_corpus(t, ("c0.y8seq", 0, "pan")), "0 frames"),
     (lambda t: _y8seq_corpus(t, ("c0.y8seq", 1, "pan")), "1 frames"),
+    (lambda t: _y8seq_corpus(t, ("c0.y8seq", 2, "pan"), width=0),
+     "c0.y8seq holds 0x16 frames, a clip needs at least 1x1"),
+    (lambda t: _pgm_dir_corpus(t, b"P5\n0 10\n255\n"),
+     "f0.pgm is a 0x10 frame, a clip needs at least 1x1"),
     (lambda t: _y8seq_corpus(t, ("a/c0.y8seq", 2, "pan"), ("b/c0.y8seq", 2, "tilt")),
      "row 2: clip id 'c0'"),
     (lambda t: _eval_model(t, weight=float("nan")), "m.json: non-finite number NaN"),
@@ -465,7 +482,8 @@ def _schema_file(tmp_path, text):
     (lambda t: _model_field(t, "seed", None), "m.json: seed must be an integer, got None"),
     (_seed_in_features_comment, "features.csv: seed must be an integer, got 'abc'"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
-        "zero-frame-clip", "one-frame-clip", "duplicate-clip-id",
+        "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
+        "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
         "string-model-alpha", "string-stats-std", "ragged-annotations-row",
         "schema-without-classes", "malformed-schema", "null-embed-seed", "negative-embed-dim",
@@ -552,6 +570,45 @@ def test_cli_synth_refuses_oversized_zoom_out_before_writing(tmp_path, capsys):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: zoom-out of 4 px/frame")
     assert not out.exists()
+
+
+def test_cli_synth_refuses_oversized_pan_before_writing(tmp_path, capsys):
+    # 16 px, 12 frames and up to 20 px/frame can draw a pan whose frames span
+    # 14.75x the frame side of texture; refused before the directory is made
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--classes", "pan", "--per-class", "1", "--out", str(out),
+               "--size", "16", "--frames", "12", "--mag-max", "20"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: pan of 20 px/frame")
+    assert not out.exists()
+
+
+def test_cli_extract_starts_at_most_one_worker_per_clip(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ``multiprocessing.Pool``; maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(dgme.cli.multiprocessing, "Pool", RecordingPool)
+    args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), ("c1.y8seq", 2, "tilt"))
+    assert main(args + ["--jobs", "64"]) == 0
+    assert sizes == [2]
+    pooled = (tmp_path / "f.csv").read_bytes()
+    assert main(args + ["--jobs", "1"]) == 0
+    assert (tmp_path / "f.csv").read_bytes() == pooled
 
 
 @pytest.mark.parametrize("mthr", ["-1", "nan", "inf"])
