@@ -21,7 +21,7 @@ from dgme import evaluation as ev
 from dgme import model as mdl
 from dgme import synth, viz
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
-from dgme.videoio import SamplingSpec, load_clip, read_y8seq
+from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("oversample", help="oversample training annotations per class")
@@ -99,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None)
     p.add_argument("--epochs", type=int, default=12)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr-max", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--embed-dim", type=int, default=64)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score predictions or a model on a split")
@@ -163,9 +158,11 @@ def cmd_synth(args) -> int:
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise UsageError("no classes given")
-    for c in classes:
+    for i, c in enumerate(classes):
         if c not in synth.CLASSES:
             raise UsageError(f"unknown class {c!r}, valid classes: {', '.join(synth.CLASSES)}")
+        if c in classes[:i]:
+            raise UsageError(f"class {c!r} repeated in --classes")
     rows = synth.make_corpus(
         args.out, classes, args.per_class, args.domain, args.seed,
         size=args.size, frames=args.frames,
@@ -199,7 +196,7 @@ def cmd_extract(args) -> int:
         clip_path = root / rel
         if not clip_path.exists():
             raise DataError(f"row {i + 1}: clip file missing: {clip_path}")
-        cid = Path(rel).stem
+        cid = clip_id(rel)
         if cid in clip_ids:
             raise DataError(
                 f"row {i + 1}: clip id {cid!r} of {rel} duplicates row {clip_ids[cid] + 1}"
@@ -256,7 +253,7 @@ def cmd_normalize(args) -> int:
 
 def _load_annotated(path, schema) -> tuple[dict, ev.AnnotatedSet]:
     meta, rows = ev.read_annotations_csv(path)
-    raw = [(Path(p).stem, label) for p, label in rows]
+    raw = [(clip_id(p), label) for p, label in rows]
     return meta, ev.remap_labels(raw, schema)
 
 
@@ -264,11 +261,7 @@ def cmd_split(args) -> int:
     schema = ev.load_schema(args.schema)
     meta, rows = ev.read_annotations_csv(args.ann)
     aset = ev.remap_labels(rows, schema)
-    try:
-        ratios = tuple(float(x) for x in args.ratios.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --ratios: {exc}") from exc
-    train, val, test = ev.stratified_split(aset, ratios, seed=args.seed)
+    train, val, test = ev.stratified_split(aset, seed=args.seed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,7 +281,10 @@ def cmd_oversample(args) -> int:
     try:
         for part in args.targets.split(","):
             cls, count = part.split("=")
-            targets[cls.strip()] = int(count)
+            cls = cls.strip()
+            if cls in targets:
+                raise UsageError(f"class {cls!r} repeated in --targets")
+            targets[cls] = int(count)
     except ValueError as exc:
         raise UsageError(f"bad --targets: {exc}") from exc
     for cls in targets:
@@ -314,7 +310,7 @@ def _join_split(split_path, schema, features_path, clip_ids, matrix):
     return ids, matrix[[index[c] for c in ids]], np.array(ys, dtype=np.int64)
 
 
-def _embed_clips(clips_dir, clip_ids, seed, dim):
+def _embed_clips(clips_dir, clip_ids, seed, dim=mdl.EMBED_DIM):
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
     root = Path(clips_dir)
     rows = []
@@ -347,14 +343,10 @@ def cmd_train(args) -> int:
     provider = None
     xb_train = xb_val = None
     if mode == "fusion":
-        xb_train, provider = _embed_clips(args.clips, train_ids, args.seed, args.embed_dim)
-        xb_val, _ = _embed_clips(args.clips, val_ids, args.seed, args.embed_dim)
+        xb_train, provider = _embed_clips(args.clips, train_ids, args.seed)
+        xb_val, _ = _embed_clips(args.clips, val_ids, args.seed)
 
-    cfg = mdl.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr_max=args.lr_max,
-        weight_decay=args.weight_decay, early_stop_patience=args.patience,
-        seed=args.seed,
-    )
+    cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     params, log = mdl.train(list(schema.classes), mdl.LabeledFeatures(x_train, y_train, xb_train),
                             mdl.LabeledFeatures(x_val, y_val, xb_val), cfg)
 
@@ -369,7 +361,7 @@ def cmd_train(args) -> int:
             "train_domain": meta.get("domain"),
             "embedding": provider.descriptor if provider else None,
             "embed_seed": args.seed if provider else None,
-            "embed_dim": args.embed_dim if provider else None,
+            "embed_dim": provider.dimension if provider else None,
         }
     )
     mdl.save_model_json(args.out, params, model_meta)
@@ -386,7 +378,7 @@ def cmd_eval(args) -> int:
 
     if args.predictions is not None:
         _, rows = ev.read_annotations_csv(args.predictions)
-        predictions = [(Path(p).stem, label) for p, label in rows]
+        predictions = [(clip_id(p), label) for p, label in rows]
         seed = args.seed
     else:
         if args.model is None or args.features is None:
@@ -425,7 +417,7 @@ def cmd_eval(args) -> int:
                 raise UsageError("evaluating a fusion model requires --clips")
             backbone, _ = _embed_clips(
                 args.clips, ids, _meta_int(model_meta, "embed_seed", 0, args.model, 0),
-                _meta_int(model_meta, "embed_dim", 64, args.model, 0),
+                _meta_int(model_meta, "embed_dim", mdl.EMBED_DIM, args.model, 0),
             )
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]

@@ -19,6 +19,8 @@ from dgme._meta import read_json, read_table, write_json, write_table
 from dgme.errors import DataError
 
 DROP = "DROP"
+# train, val, test fractions of every class: the paper's 6:2:2 protocol
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,9 @@ class ClassSchema:
     remap: dict
 
     def __post_init__(self):
+        # the name goes into metadata lines, whose values are single tokens
+        if str(self.name).split() != [self.name]:
+            raise ValueError(f"schema name must be one token, got {self.name!r}")
         if not self.classes or len(set(self.classes)) != len(self.classes):
             raise ValueError("classes must be nonempty and unique")
         bad = {t for t in self.remap.values() if t != DROP and t not in self.classes}
@@ -115,16 +120,14 @@ def remap_labels(raw: list[tuple[str, str]], schema: ClassSchema) -> AnnotatedSe
     return AnnotatedSet(entries, schema)
 
 
-def stratified_split(aset: AnnotatedSet, ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+def stratified_split(aset: AnnotatedSet,
                      seed: int = 0) -> tuple[AnnotatedSet, AnnotatedSet, AnnotatedSet]:
-    """Class-balanced split with floor quotas.
+    """Class-balanced train/val/test split with floor quotas.
 
     Per class, entries are shuffled with a seeded RNG and the quotas are
-    floor(ratio * n) each; leftover samples are assigned one at a time in
-    the priority order test, train, val.
+    floor(ratio * n) for each of the ``SPLIT_RATIOS``; leftover samples are
+    assigned one at a time in the priority order test, train, val.
     """
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three fractions summing to 1")
     rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
     by_class: dict = {c: [] for c in aset.schema.classes}
@@ -140,9 +143,9 @@ def stratified_split(aset: AnnotatedSet, ratios: tuple[float, float, float] = (0
             raise DataError(f"class {cls!r} has only {n} samples, needs >= 3 to split")
         order = rng.permutation(n)
         shuffled = [group[i] for i in order]
-        n_train = int(np.floor(ratios[0] * n))
-        n_val = int(np.floor(ratios[1] * n))
-        leftover = n - n_train - n_val - int(np.floor(ratios[2] * n))
+        n_train = int(np.floor(SPLIT_RATIOS[0] * n))
+        n_val = int(np.floor(SPLIT_RATIOS[1] * n))
+        leftover = n - n_train - n_val - int(np.floor(SPLIT_RATIOS[2] * n))
         # test takes the tail, so its leftover (the first) moves no boundary
         n_train += leftover >= 2
         n_val += leftover >= 3

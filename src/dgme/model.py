@@ -34,9 +34,12 @@ from dgme.videoio import FrameSequence
 LAYER_NORM_EPS = 1e-5
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 # learning rate the cosine schedule anneals to
 COSINE_FLOOR = 1e-5
 PROB_FLOOR = 1e-12
+# output width of the stub backbone embedding
+EMBED_DIM = 64
 
 
 @dataclass
@@ -68,10 +71,12 @@ class FusionHeadParams:
 
 @dataclass
 class TrainConfig:
+    """Length and schedule of one run; the CLI sets only epochs, batch size
+    and seed. AdamW's betas, epsilon and weight decay are module constants."""
+
     epochs: int = 12
     batch_size: int = 32
     lr_max: float = 1e-3
-    weight_decay: float = 0.01
     early_stop_patience: int = 3
     seed: int = 0
 
@@ -275,10 +280,10 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
                 v += (1.0 - beta2) * g * g
                 update = (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
                 p -= lr * update
-                if key == "W" and cfg.weight_decay > 0:
+                if key == "W":
                     # decoupled decay on the linear weights only; decaying the
                     # gate or the affine norm parameters would bias the fusion
-                    p -= lr * cfg.weight_decay * p
+                    p -= lr * WEIGHT_DECAY * p
             params.alpha = float(alpha_arr)
             global_step += 1
 
@@ -311,7 +316,7 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
 # backbone embedding stub
 # ---------------------------------------------------------------------------
 
-def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = 64) -> np.ndarray:
+def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = EMBED_DIM) -> np.ndarray:
     """Deterministic clip embedding standing in for a video backbone.
 
     Concatenates a clip-averaged 32-bin intensity histogram with per-cell
@@ -340,7 +345,7 @@ def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = 64) -> np.ndarr
 class StubEmbeddingProvider:
     """Embedding provider backed by ``stub_embedding``; pure per clip."""
 
-    def __init__(self, seed: int = 0, dim: int = 64):
+    def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
         self.seed = seed
         self.dimension = dim
         self.descriptor = f"stub-intensity-motion-v1(seed={seed},dim={dim})"

@@ -79,6 +79,12 @@ class SamplingSpec:
         return (self.frames_per_clip - 1) * self.frame_interval + 1
 
 
+def clip_id(path) -> str:
+    """The id of the clip at ``path``: its file name without a trailing
+    ``.y8seq``. Other dots stay, and the id of an id is itself."""
+    return Path(path).name.removesuffix(".y8seq")
+
+
 def write_y8seq(seq: FrameSequence, path) -> None:
     """Write a clip in the bit-exact ``.y8seq`` binary format."""
     path = Path(path)
@@ -111,7 +117,7 @@ def read_y8seq(path) -> FrameSequence:
             f"truncated y8seq payload in {path}: expected {expected} bytes, have {len(data)}"
         )
     frames = np.frombuffer(data[16:], dtype=np.uint8).reshape(count, height, width)
-    return FrameSequence(frames.copy(), clip_id=path.stem)
+    return FrameSequence(frames.copy(), clip_id=clip_id(path))
 
 
 def _read_pnm(path: Path) -> np.ndarray:
@@ -205,13 +211,7 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
     center-cropped to a square. Pure function of (file bytes, spec).
     """
     path = Path(path)
-    if path.is_dir():
-        source = _read_frame_dir(path)
-        clip_id = path.name
-    else:
-        src_seq = read_y8seq(path)
-        source = src_seq.frames
-        clip_id = src_seq.clip_id
+    source = _read_frame_dir(path) if path.is_dir() else read_y8seq(path).frames
 
     need = spec.required_source_frames
     have = source.shape[0]
@@ -224,4 +224,4 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
         frame = _resize_shorter_side(source[idx], spec.target_size)
         frame = _center_crop(frame, spec.target_size)
         out.append(np.round(frame).clip(0, 255).astype(np.uint8))
-    return FrameSequence(np.stack(out), clip_id=clip_id)
+    return FrameSequence(np.stack(out), clip_id=clip_id(path))

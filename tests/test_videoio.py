@@ -1,13 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dgme
 from dgme._resample import resize_bilinear
 from dgme.errors import DataError
 from dgme.videoio import (
     FrameSequence,
     SamplingSpec,
+    clip_id,
     load_clip,
     read_y8seq,
     write_y8seq,
@@ -194,3 +199,44 @@ def test_spec_validation():
         SamplingSpec(frames_per_clip=1)
     with pytest.raises(ValueError):
         FrameSequence(np.zeros((1, 4, 4), dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# clip ids
+# ---------------------------------------------------------------------------
+
+def test_clip_id_drops_only_a_trailing_y8seq(tmp_path):
+    assert clip_id("corpus/pan.v0001.y8seq") == "pan.v0001"
+    assert clip_id("pan.v0001") == "pan.v0001"  # the id of an id is itself
+    assert clip_id(tmp_path / "frames.d") == "frames.d"
+    (tmp_path / "frames.d").mkdir()
+    for name in ("f0.pgm", "f1.pgm"):
+        (tmp_path / "frames.d" / name).write_bytes(b"P5 2 2 255\n" + bytes(4))
+    write_y8seq(_seq(np.zeros((2, 2, 2))), tmp_path / "pan.v1.y8seq")
+    spec = SamplingSpec(frames_per_clip=2, frame_interval=1, target_size=2)
+    assert load_clip(tmp_path / "frames.d", spec).clip_id == "frames.d"
+    assert load_clip(tmp_path / "pan.v1.y8seq", spec).clip_id == "pan.v1"
+
+
+def _stem_readers(path: Path) -> set:
+    """``module.function`` of each function in ``path`` that reads a ``.stem``."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "stem":
+                found.add(f"{path.stem}.{where}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_clip_id_reads_a_path_stem():
+    # a second derivation of ids from paths could disagree with clip_id
+    modules = sorted(Path(dgme.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    assert set().union(*map(_stem_readers, modules)) <= {"videoio.clip_id"}

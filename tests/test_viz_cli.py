@@ -474,6 +474,8 @@ def _schema_file(tmp_path, text):
     (_ragged_annotations, "annotations row 2"),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
+    (lambda t: _schema_file(t, '{"name": "my schema", "classes": ["pan"], "remap": {}}'),
+     "schema.json: schema name must be one token, got 'my schema'"),
     (lambda t: _fusion_model_field(t, "embed_seed", None),
      "m.json: embed_seed must be an integer >= 0, got None"),
     (lambda t: _fusion_model_field(t, "embed_dim", -3),
@@ -486,7 +488,8 @@ def _schema_file(tmp_path, text):
         "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
         "string-model-alpha", "string-stats-std", "ragged-annotations-row",
-        "schema-without-classes", "malformed-schema", "null-embed-seed", "negative-embed-dim",
+        "schema-without-classes", "malformed-schema", "schema-name-with-space",
+        "null-embed-seed", "negative-embed-dim",
         "string-model-seed", "null-model-seed", "string-features-seed"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
@@ -619,3 +622,91 @@ def test_cli_extract_refuses_bad_threshold(tmp_path, capsys, mthr):
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: magnitude_threshold must be finite and >= 0"]
+
+
+def _split_args(mini_corpus, out_dir):
+    """``split`` of the module's mini corpus into ``out_dir``."""
+    return ["split", "--ann", str(mini_corpus / "corpus" / "annotations.csv"),
+            "--schema", "modern4", "--seed", "5", "--out-dir", str(out_dir)]
+
+
+def _train_args(mini_corpus, out_dir):
+    """``train`` of a one-epoch head on the mini corpus, split first into
+    ``out_dir/splits``; the model goes to ``out_dir/m.json``."""
+    splits = out_dir / "splits"
+    assert main(_split_args(mini_corpus, splits)) == 0
+    return ["train", "--features", str(mini_corpus / "features.csv"),
+            "--train", str(splits / "train.csv"), "--val", str(splits / "val.csv"),
+            "--schema", "modern4", "--out", str(out_dir / "m.json"), "--epochs", "1"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("split", ["--ratios", "1.2,-0.1,-0.1"]),
+    ("train", ["--weight-decay", "nan"]),
+    ("train", ["--lr-max", "0.01"]),
+    ("train", ["--patience", "1"]),
+    ("train", ["--embed-dim", "8"]),
+], ids=["ratios", "weight-decay", "lr-max", "patience", "embed-dim"])
+def test_cli_training_protocol_has_no_flags(mini_corpus, tmp_path, capsys, command, flag):
+    # the split ratios and head settings are constants; the flags that set
+    # them took out-of-range values such as these without a word
+    if command == "split":
+        out = tmp_path / "out"
+        args = _split_args(mini_corpus, out)
+    else:
+        out = tmp_path / "m.json"
+        args = _train_args(mini_corpus, tmp_path)
+    capsys.readouterr()
+    rc = main(args + flag)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:") and flag[0] in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [("synth", "--classes"), ("oversample", "--targets")])
+def test_cli_repeated_class_is_usage_error(mini_corpus, tmp_path, capsys, command, option):
+    # refused before anything is written: synth used to write the repeated
+    # class's clips twice, and oversample kept the last count
+    if command == "synth":
+        out = tmp_path / "corpus"
+        args = ["synth", "--classes", "pan,pan", "--per-class", "1", "--out", str(out),
+                "--size", "64", "--frames", "4"]
+    else:
+        assert main(_split_args(mini_corpus, tmp_path / "splits")) == 0
+        out = tmp_path / "os.csv"
+        args = ["oversample", "--split", str(tmp_path / "splits" / "train.csv"),
+                "--schema", "modern4", "--targets", "pan=5,pan=7", "--out", str(out)]
+    capsys.readouterr()
+    rc = main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: class 'pan' repeated in {option}"]
+    assert not out.exists()
+
+
+def test_cli_dotted_clip_ids_survive_oversample_and_predictions(tmp_path):
+    # ids keep every dot but the one of the .y8seq suffix, so an id read
+    # back from an oversampled split or a predictions file is the same id
+    clips = [(f"{label}.v{i:04d}.y8seq", 2, label) for label in ("pan", "tilt") for i in range(5)]
+    assert main(_y8seq_corpus(tmp_path, *clips)) == 0
+    _, ids, _, _ = read_features_csv(tmp_path / "f.csv")
+    assert ids == [rel.removesuffix(".y8seq") for rel, _, _ in clips]
+    splits = tmp_path / "splits"
+    assert main(["split", "--ann", str(tmp_path / "annotations.csv"), "--schema", "modern4",
+                 "--out-dir", str(splits)]) == 0
+    assert main(["oversample", "--split", str(splits / "train.csv"), "--schema", "modern4",
+                 "--targets", "pan=4", "--out", str(tmp_path / "os.csv")]) == 0
+    features, model = str(tmp_path / "f.csv"), str(tmp_path / "m.json")
+    assert main(["train", "--features", features, "--train", str(tmp_path / "os.csv"),
+                 "--val", str(splits / "val.csv"), "--schema", "modern4",
+                 "--out", model, "--epochs", "1"]) == 0
+    score = ["eval", "--split", str(splits / "test.csv"), "--schema", "modern4"]
+    assert main(score + ["--model", model, "--features", features,
+                         "--out-predictions", str(tmp_path / "p.csv"),
+                         "--out-metrics", str(tmp_path / "m1.json"),
+                         "--out-confusion", str(tmp_path / "c1.csv")]) == 0
+    assert main(score + ["--predictions", str(tmp_path / "p.csv"),
+                         "--out-metrics", str(tmp_path / "m2.json"),
+                         "--out-confusion", str(tmp_path / "c2.csv")]) == 0
+    assert (tmp_path / "c1.csv").read_text() == (tmp_path / "c2.csv").read_text()
