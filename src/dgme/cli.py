@@ -208,6 +208,10 @@ def cmd_extract(args) -> int:
     if workers <= 1:
         results = [_extract_one(t) for t in tasks]
     else:
+        # flow imports scipy lazily; load it before the fork so the workers
+        # share its pages instead of each importing its own copy
+        import scipy.ndimage  # noqa: F401
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_extract_one, tasks, chunksize=8)
     matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
@@ -311,14 +315,19 @@ def _join_split(split_path, schema, features_path, clip_ids, matrix):
 
 
 def _embed_clips(clips_dir, clip_ids, seed, dim=mdl.EMBED_DIM):
+    """Embedding rows for ``clip_ids`` in order; each distinct clip is read
+    and embedded once, however often an oversampled split repeats it."""
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
     root = Path(clips_dir)
-    rows = []
+    embedded = {}
     for cid in clip_ids:
+        if cid in embedded:
+            continue
         path = root / f"{cid}.y8seq"
         if not path.is_file():
             raise DataError(f"clip file for embedding not found: {path}")
-        rows.append(provider.embed(read_y8seq(path)))
+        embedded[cid] = provider.embed(read_y8seq(path))
+    rows = [embedded[cid] for cid in clip_ids]
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim), provider
 
 
@@ -343,8 +352,8 @@ def cmd_train(args) -> int:
     provider = None
     xb_train = xb_val = None
     if mode == "fusion":
-        xb_train, provider = _embed_clips(args.clips, train_ids, args.seed)
-        xb_val, _ = _embed_clips(args.clips, val_ids, args.seed)
+        xb, provider = _embed_clips(args.clips, train_ids + val_ids, args.seed)
+        xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
     cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     params, log = mdl.train(list(schema.classes), mdl.LabeledFeatures(x_train, y_train, xb_train),
@@ -384,6 +393,11 @@ def cmd_eval(args) -> int:
         if args.model is None or args.features is None:
             raise UsageError("eval needs either --predictions or both --model and --features")
         params, model_meta = mdl.load_model_json(args.model)
+        if params.class_names != list(schema.classes):
+            raise DataError(
+                f"model classes {params.class_names} do not match the classes "
+                f"{list(schema.classes)} of schema {schema.name}"
+            )
         feat_meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
         calibrated = args.stats is not None or feat_meta.get("calibrated") == "true"
         if model_meta.get("calibrated") and not calibrated:

@@ -20,6 +20,9 @@ Farneback settings are module constants, so a hit returns exactly what a
 fresh expansion would and ``farneback_flow`` stays a pure function,
 whatever was called before it. The cached arrays are read-only, and the
 memo holds at most one frame's expansions (about 2.6 MB at 224 px).
+
+``scipy.ndimage`` is imported inside the functions that correlate, so a
+command that computes no flow never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from dgme._resample import resize_bilinear, sample_bilinear_planes
 from dgme.errors import DataError
@@ -93,6 +95,8 @@ def _gaussian_kernel(half: int, sigma: float) -> np.ndarray:
 def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0:
         return img
+    from scipy.ndimage import correlate1d
+
     half = max(1, int(round(4.0 * sigma)))
     g = _gaussian_kernel(half, sigma)
     out = correlate1d(img, g, axis=0, mode="mirror")
@@ -107,6 +111,8 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
     separable correlations. Returns (a11, a22, a12, bx, by) where the
     quadratic form matrix is A = [[a11, a12], [a12, a22]] (a12 = axy/2).
     """
+    from scipy.ndimage import correlate1d
+
     half = n // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = _gaussian_kernel(half, sigma)
@@ -143,6 +149,8 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
     both sides with the Gaussian window ``win``, and solves the 2x2
     system. ``yy``, ``xx`` are the level's pixel-coordinate grids.
     """
+    from scipy.ndimage import correlate1d
+
     a11_1, a22_1, a12_1, bx1, by1 = exp1
     a11_2, a22_2, a12_2, bx2, by2 = sample_bilinear_planes(exp2, yy + v, xx + u)
 

@@ -316,6 +316,35 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
 # backbone embedding stub
 # ---------------------------------------------------------------------------
 
+# clip statistics behind the stub embedding: a 32-bin intensity histogram
+# and the frame-difference energies of a 3x3 grid
+_HIST_BINS = 32
+_ENERGY_GRID = 3
+_STATS_WIDTH = _HIST_BINS + _ENERGY_GRID * _ENERGY_GRID
+
+
+def _clip_statistics(seq: FrameSequence) -> np.ndarray:
+    frames = seq.frames.astype(np.float64)
+    hist = np.zeros(_HIST_BINS, dtype=np.float64)
+    for f in seq.frames:
+        counts, _ = np.histogram(f, bins=_HIST_BINS, range=(0, 256))
+        hist += counts / f.size
+    hist /= seq.frame_count
+
+    diffs = np.abs(np.diff(frames, axis=0)).mean(axis=0)  # (H, W)
+    energies = np.array([
+        diffs[y0:y1, x0:x1].mean() / 255.0
+        for y0, y1, x0, x1 in grid_cells(diffs.shape[0], diffs.shape[1], _ENERGY_GRID)
+    ])
+    return np.concatenate([hist, energies])
+
+
+def _projection(seed: int, dim: int) -> np.ndarray:
+    proj = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
+    proj /= np.sqrt(_STATS_WIDTH)
+    return proj
+
+
 def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = EMBED_DIM) -> np.ndarray:
     """Deterministic clip embedding standing in for a video backbone.
 
@@ -323,35 +352,20 @@ def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = EMBED_DIM) -> n
     mean absolute frame-difference energies over a 3x3 grid, then applies
     a fixed seeded random projection to ``dim`` dimensions.
     """
-    frames = seq.frames.astype(np.float64)
-    hist = np.zeros(32, dtype=np.float64)
-    for f in seq.frames:
-        counts, _ = np.histogram(f, bins=32, range=(0, 256))
-        hist += counts / f.size
-    hist /= seq.frame_count
-
-    diffs = np.abs(np.diff(frames, axis=0)).mean(axis=0)  # (H, W)
-    energies = np.array([
-        diffs[y0:y1, x0:x1].mean() / 255.0
-        for y0, y1, x0, x1 in grid_cells(diffs.shape[0], diffs.shape[1], 3)
-    ])
-
-    raw = np.concatenate([hist, energies])
-    proj = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, raw.size))
-    proj /= np.sqrt(raw.size)
-    return proj @ raw
+    return _projection(seed, dim) @ _clip_statistics(seq)
 
 
 class StubEmbeddingProvider:
-    """Embedding provider backed by ``stub_embedding``; pure per clip."""
+    """Embedding provider computing ``stub_embedding``; pure per clip. The
+    seeded projection is drawn once, when the provider is made."""
 
     def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
-        self.seed = seed
         self.dimension = dim
         self.descriptor = f"stub-intensity-motion-v1(seed={seed},dim={dim})"
+        self._projection = _projection(seed, dim)
 
     def embed(self, seq: FrameSequence) -> np.ndarray:
-        return stub_embedding(seq, seed=self.seed, dim=self.dimension)
+        return self._projection @ _clip_statistics(seq)
 
 
 # ---------------------------------------------------------------------------

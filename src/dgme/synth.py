@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from dgme._meta import write_table
 from dgme._resample import resize_bilinear, sample_bilinear
@@ -223,6 +222,9 @@ def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
         f = seq.frames[t].astype(np.float64)
         f = spec.contrast_scale * (f - 128.0) + 128.0
         if spec.blur_sigma > 0:
+            # imported here, so that only blurred (historical) clips load scipy
+            from scipy.ndimage import gaussian_filter
+
             f = gaussian_filter(f, sigma=spec.blur_sigma, mode="mirror")
         f = f + flicker[t] + noise[t]
         out.append(_emit(f))

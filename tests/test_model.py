@@ -381,6 +381,10 @@ def test_stub_provider_interface():
     assert "seed=1" in provider.descriptor
     emb = provider.embed(_black_clip())
     assert emb.shape == (32,)
+    # the projection drawn once per provider is the one drawn per clip
+    rng = np.random.default_rng(7)
+    seq = FrameSequence(rng.integers(0, 256, size=(4, 32, 32)).astype(np.uint8), "e")
+    assert provider.embed(seq).tobytes() == stub_embedding(seq, seed=1, dim=32).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,13 @@ import pytest
 import dgme
 import dgme.cli
 import dgme.descriptor
+import dgme.model
 from dgme import synth
 from dgme._meta import format_meta, parse_meta
 from dgme.cli import main
 from dgme.descriptor import read_features_csv
 from dgme.evaluation import read_annotations_csv
+from dgme.videoio import clip_id
 from dgme.viz import aggregate_bins, grid_arrow_angles, grid_svg, rose_geometry, rose_svg
 
 
@@ -483,6 +489,9 @@ def _schema_file(tmp_path, text):
     (lambda t: _model_field(t, "seed", "abc"), "m.json: seed must be an integer, got 'abc'"),
     (lambda t: _model_field(t, "seed", None), "m.json: seed must be an integer, got None"),
     (_seed_in_features_comment, "features.csv: seed must be an integer, got 'abc'"),
+    (lambda t: _model_field(t, "class_names", ["zoom", "pan", "tilt", "static"]),
+     "model classes ['zoom', 'pan', 'tilt', 'static'] do not match the classes "
+     "['static', 'tilt', 'pan', 'zoom'] of schema modern4"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -490,7 +499,8 @@ def _schema_file(tmp_path, text):
         "string-model-alpha", "string-stats-std", "ragged-annotations-row",
         "schema-without-classes", "malformed-schema", "schema-name-with-space",
         "null-embed-seed", "negative-embed-dim",
-        "string-model-seed", "null-model-seed", "string-features-seed"])
+        "string-model-seed", "null-model-seed", "string-features-seed",
+        "model-classes-not-schema-classes"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
@@ -710,3 +720,89 @@ def test_cli_dotted_clip_ids_survive_oversample_and_predictions(tmp_path):
                          "--out-metrics", str(tmp_path / "m2.json"),
                          "--out-confusion", str(tmp_path / "c2.csv")]) == 0
     assert (tmp_path / "c1.csv").read_text() == (tmp_path / "c2.csv").read_text()
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter importing this dgme.
+    What an import loads shows only there: conftest has imported scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dgme.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_head_commands_never_load_scipy(mini_corpus, tmp_path):
+    # only flow (extract) and blurring (historical synth) use scipy, whose
+    # import took most of each command's start-up; ``_train_args`` splits in
+    # this process first, and the child's split writes the same files again
+    model = tmp_path / "m.json"
+    commands = [
+        _split_args(mini_corpus, tmp_path / "splits"),
+        _train_args(mini_corpus, tmp_path),
+        ["eval", "--split", str(tmp_path / "splits" / "test.csv"), "--schema", "modern4",
+         "--model", str(model), "--features", str(mini_corpus / "features.csv"),
+         "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")],
+    ]
+    code = ("import json, sys\n"
+            "import dgme.cli\n"
+            "loaded = ['import'] if 'scipy' in sys.modules else []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert dgme.cli.main(argv) == 0, argv\n"
+            "    if 'scipy' in sys.modules and not loaded:\n"
+            "        loaded.append(argv[0])\n"
+            "print(json.dumps(loaded))\n")
+    child = _fresh_python(code, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []
+    assert model.is_file()
+
+
+def test_cli_extract_loads_scipy_before_the_pool_forks(tmp_path):
+    # workers forked after the import share scipy's pages instead of each
+    # importing a copy of their own, which raised extract's peak RSS
+    code = ("import sys\n"
+            "import dgme.cli\n"
+            "def pool(processes):\n"
+            "    # stands in for multiprocessing.Pool and ends the run\n"
+            "    sys.exit(0 if 'scipy.ndimage' in sys.modules else 'scipy not loaded at the fork')\n"
+            "dgme.cli.multiprocessing.Pool = pool\n"
+            "dgme.cli.main(sys.argv[1:])\n"
+            "sys.exit('extract built no pool')\n")
+    args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), ("c1.y8seq", 2, "tilt"))
+    child = _fresh_python(code, *args, "--jobs", "2")
+    assert child.returncode == 0, child.stderr
+
+
+def _embed_per_row(clips_dir, clip_ids, seed, dim=dgme.model.EMBED_DIM):
+    """Reference for ``cli._embed_clips``: reads and embeds every row, with
+    the projection drawn per clip by ``stub_embedding``."""
+    rows = [dgme.model.stub_embedding(dgme.cli.read_y8seq(Path(clips_dir) / f"{cid}.y8seq"),
+                                      seed=seed, dim=dim) for cid in clip_ids]
+    return (np.array(rows).reshape(len(rows), dim),
+            dgme.model.StubEmbeddingProvider(seed=seed, dim=dim))
+
+
+def test_cli_fusion_train_embeds_each_clip_once(mini_corpus, tmp_path, monkeypatch):
+    args = _train_args(mini_corpus, tmp_path)
+    splits, oversampled = tmp_path / "splits", tmp_path / "os.csv"
+    assert main(["oversample", "--split", str(splits / "train.csv"), "--schema", "modern4",
+                 "--targets", "static=9,tilt=9,pan=9,zoom=9", "--out", str(oversampled)]) == 0
+    args[args.index("--train") + 1] = str(oversampled)
+    args += ["--mode", "fusion", "--clips", str(mini_corpus / "corpus"), "--seed", "5"]
+    rows = [cid for name in ("os", "splits/val") for cid, _ in
+            read_annotations_csv(tmp_path / f"{name}.csv")[1]]
+    distinct = sorted({clip_id(rel) for rel in rows})
+    assert len(rows) > len(distinct)
+
+    read, embedded = [], []
+    reader, embed = dgme.cli.read_y8seq, dgme.model.StubEmbeddingProvider.embed
+    monkeypatch.setattr(dgme.cli, "read_y8seq",
+                        lambda path: read.append(clip_id(path)) or reader(path))
+    monkeypatch.setattr(dgme.model.StubEmbeddingProvider, "embed",
+                        lambda self, seq: embedded.append(seq.clip_id) or embed(self, seq))
+    assert main(args) == 0
+    assert sorted(read) == sorted(embedded) == distinct
+    once = (tmp_path / "m.json").read_bytes()
+
+    monkeypatch.setattr(dgme.cli, "_embed_clips", _embed_per_row)
+    assert main(args) == 0
+    assert (tmp_path / "m.json").read_bytes() == once
