@@ -121,17 +121,40 @@ def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
 
 
 def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.ndarray:
-    """Aggregate per-pair polar fields into one normalized descriptor."""
+    """Aggregate per-pair polar fields into one normalized descriptor.
+
+    A cell-label map of the frame is built once; each pair then takes one
+    magnitude-weighted ``bincount`` over cell * 12 + directional bin for
+    its moving pixels and one count of static pixels per cell. A row-major
+    pass over the frame meets each cell's pixels in that cell's row-major
+    order, so every bin sums the same terms in the same order as
+    ``cell_histogram`` does.
+    """
     if not fields:
         raise DataError("descriptor needs at least one flow field")
     h, w = fields[0].height, fields[0].width
     cells = grid_cells(h, w, GRID)
-    acc = np.zeros((len(cells), BINS_PER_CELL), dtype=np.float64)
+    labels = np.empty((h, w), dtype=np.int64)
+    for k, (y0, y1, x0, x1) in enumerate(cells):
+        if not (y0 < y1 and x0 < x1):
+            raise ValueError(f"cell {(y0, y1, x0, x1)} outside frame {h}x{w}")
+        labels[y0:y1, x0:x1] = k
+    labels = labels.ravel()
+    n_cells = len(cells)
+    acc = np.zeros((n_cells, BINS_PER_CELL), dtype=np.float64)
     for polar in fields:
         if (polar.height, polar.width) != (h, w):
             raise DataError("flow field sizes differ within one clip")
-        for k, cell in enumerate(cells):
-            acc[k] += cell_histogram(polar, cell, cfg)
+        m = polar.m.astype(np.float64).ravel()
+        theta = polar.theta.astype(np.float64).ravel()
+        moving = m >= cfg.magnitude_threshold
+        idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
+        idx += labels[moving] * DIRECTIONAL_BINS
+        acc[:, :DIRECTIONAL_BINS] += np.bincount(
+            idx, weights=m[moving], minlength=n_cells * DIRECTIONAL_BINS,
+        ).reshape(n_cells, DIRECTIONAL_BINS)
+        static = np.bincount(labels[~moving], minlength=n_cells)
+        acc[:, DIRECTIONAL_BINS] += cfg.magnitude_threshold * static
     vec = acc.ravel()
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:

@@ -9,7 +9,11 @@ Gaussian-weighted neighborhood averaging of the normal equations, and
 wrapped in a coarse-to-fine pyramid with fixed-point iterations per level.
 
 All internal math is 64-bit; stored fields are 32-bit floats. The
-estimator is a pure function of its inputs.
+estimator is a pure function of its inputs. The solve of each fixed-point
+iteration works in place on the fresh warp outputs and preallocated
+buffers, and u and v are upsampled between levels together from one
+index computation; both keep every operation and its order, so the
+result is the same bit for bit as the plain expressions.
 
 Each frame's pyramid and per-level expansion depend on that frame alone,
 and ``compute_dgme`` passes every interior frame of a clip twice, once as
@@ -18,8 +22,9 @@ expansions of the last frame expanded, so each frame of a clip is
 expanded once. Its key is the frame alone (shape, dtype, bytes): the
 Farneback settings are module constants, so a hit returns exactly what a
 fresh expansion would and ``farneback_flow`` stays a pure function,
-whatever was called before it. The cached arrays are read-only, and the
-memo holds at most one frame's expansions (about 2.6 MB at 224 px).
+whatever was called before it. The cached arrays are read-only, so an
+in-place write into them by mistake raises an error, and the memo holds
+at most one frame's expansions (about 2.6 MB at 224 px).
 
 ``scipy.ndimage`` is imported inside the functions that correlate, so a
 command that computes no flow never loads it.
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dgme._resample import resize_bilinear, sample_bilinear_planes
+from dgme._resample import resize_bilinear, resize_bilinear_planes, sample_bilinear_planes
 from dgme.errors import DataError
 
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
@@ -148,33 +153,60 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
     per-pixel normal equations G*d = h from averaged coefficients, blurs
     both sides with the Gaussian window ``win``, and solves the 2x2
     system. ``yy``, ``xx`` are the level's pixel-coordinate grids.
+
+    The solve works in place on the fresh warp outputs, one temporary plane
+    and one (5, h, w) buffer, with the operations and operand order of
+    the plain expressions in the comments, so it rounds the same way.
     """
     from scipy.ndimage import correlate1d
 
     a11_1, a22_1, a12_1, bx1, by1 = exp1
-    a11_2, a22_2, a12_2, bx2, by2 = sample_bilinear_planes(exp2, yy + v, xx + u)
+    a11, a22, a12, db1, db2 = sample_bilinear_planes(exp2, yy + v, xx + u)
+    tmp = np.empty_like(u)
 
-    a11 = 0.5 * (a11_1 + a11_2)
-    a22 = 0.5 * (a22_1 + a22_2)
-    a12 = 0.5 * (a12_1 + a12_2)
-    # db = -(b2 - b1)/2 + A d0 makes the solve return total displacement
-    db1 = -0.5 * (bx2 - bx1) + a11 * u + a12 * v
-    db2 = -0.5 * (by2 - by1) + a12 * u + a22 * v
+    # a = 0.5 * (a_1 + a_2)
+    for a, a_1 in ((a11, a11_1), (a22, a22_1), (a12, a12_1)):
+        a += a_1
+        a *= 0.5
+    # db = -(b2 - b1)/2 + A d0 makes the solve return total displacement:
+    # db1 = -0.5 * (bx2 - bx1) + a11 * u + a12 * v
+    # db2 = -0.5 * (by2 - by1) + a12 * u + a22 * v
+    for db, b1, au, av in ((db1, bx1, a11, a12), (db2, by1, a12, a22)):
+        db -= b1
+        db *= -0.5
+        db += np.multiply(au, u, out=tmp)
+        db += np.multiply(av, v, out=tmp)
 
-    g11 = a11 * a11 + a12 * a12
-    g12 = a12 * (a11 + a22)
-    g22 = a22 * a22 + a12 * a12
-    h1 = a11 * db1 + a12 * db2
-    h2 = a12 * db1 + a22 * db2
-
-    planes = np.stack([g11, g12, g22, h1, h2])
-    planes = correlate1d(planes, win, axis=1, mode="mirror")
-    planes = correlate1d(planes, win, axis=2, mode="mirror")
+    # g11 = a11*a11 + a12*a12, g12 = a12*(a11 + a22), g22 = a22*a22 + a12*a12,
+    # h1 = a11*db1 + a12*db2, h2 = a12*db1 + a22*db2
+    planes = np.empty((5,) + u.shape)
     g11, g12, g22, h1, h2 = planes
+    np.multiply(a12, a12, out=tmp)
+    np.multiply(a11, a11, out=g11)
+    g11 += tmp
+    np.multiply(a22, a22, out=g22)
+    g22 += tmp
+    np.add(a11, a22, out=g12)
+    g12 *= a12
+    np.multiply(a11, db1, out=h1)
+    h1 += np.multiply(a12, db2, out=tmp)
+    np.multiply(a12, db1, out=h2)
+    h2 += np.multiply(a22, db2, out=tmp)
 
-    det = g11 * g22 - g12 * g12 + _DET_EPS
-    u_new = (g22 * h1 - g12 * h2) / det
-    v_new = (g11 * h2 - g12 * h1) / det
+    blurred = correlate1d(planes, win, axis=1, mode="mirror")
+    correlate1d(blurred, win, axis=2, output=planes, mode="mirror")
+
+    # det = g11*g22 - g12*g12 + eps
+    # u_new = (g22*h1 - g12*h2) / det, v_new = (g11*h2 - g12*h1) / det
+    det = np.multiply(g11, g22, out=a11)
+    det -= np.multiply(g12, g12, out=tmp)
+    det += _DET_EPS
+    u_new = np.multiply(g22, h1, out=a22)
+    u_new -= np.multiply(g12, h2, out=tmp)
+    u_new /= det
+    v_new = np.multiply(g11, h2, out=a12)
+    v_new -= np.multiply(g12, h1, out=tmp)
+    v_new /= det
     return u_new, v_new
 
 
@@ -258,8 +290,9 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
             v = np.zeros((hh, ww))
         else:
             ph, pw = u.shape
-            u = resize_bilinear(u, hh, ww) * (ww / pw)
-            v = resize_bilinear(v, hh, ww) * (hh / ph)
+            u, v = resize_bilinear_planes((u, v), hh, ww)
+            u *= ww / pw
+            v *= hh / ph
         yy, xx = np.mgrid[0:hh, 0:ww].astype(np.float64)
         for _ in range(ITERATIONS):
             u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx, win)

@@ -91,3 +91,17 @@ def sample_bilinear_2d(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.
             + plane[y0, x1] * (1.0 - fy) * fx
             + plane[y1, x0] * fy * (1.0 - fx)
             + plane[y1, x1] * fy * fx)
+
+
+def resize_bilinear_grid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resize that samples full (out_h, out_w)
+    coordinate grids (the reference the separable resize must match bit
+    for bit); a same-shape resize returns a copy."""
+    h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    grid_y = np.repeat(ys[:, None], out_w, axis=1)
+    grid_x = np.repeat(xs[None, :], out_h, axis=0)
+    return sample_bilinear_2d(img, grid_y, grid_x)

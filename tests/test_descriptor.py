@@ -179,6 +179,38 @@ def test_threshold_monotonicity(seed):
     assert h_hi[12] >= h_lo[12] - 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(5, 40), w=st.integers(5, 40), pairs=st.integers(1, 4),
+    threshold=st.sampled_from([0.0, 0.5, 1.25]), seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_histogram_matches_per_cell_histograms(h, w, pairs, threshold, seed):
+    # most sizes leave a remainder for the last row and column of cells; a
+    # third of the magnitudes sit exactly at the threshold, a fifth of the
+    # angles are 0 or 360 (bin 0); the magnitudes span ten decades, so
+    # float64 sums of them round and a changed summation order shows
+    rng = np.random.default_rng(seed)
+    cfg = DgmeConfig(magnitude_threshold=threshold)
+    fields = []
+    for _ in range(pairs):
+        m = (10.0 ** rng.uniform(-8.0, 2.0, size=(h, w))).astype(np.float32)
+        m[rng.random((h, w)) < 0.3] = threshold
+        theta = rng.uniform(0.0, 360.0, size=(h, w)).astype(np.float32)
+        edge = rng.random((h, w)) < 0.2
+        theta[edge] = rng.choice([0.0, 360.0], size=int(edge.sum()))
+        fields.append(PolarFlow(m, theta))
+    cells = grid_cells(h, w, 3)
+    acc = np.zeros((len(cells), 13))
+    for polar in fields:
+        for k, cell in enumerate(cells):
+            acc[k] += cell_histogram(polar, cell, cfg)
+    reference = acc.ravel()
+    norm = float(np.linalg.norm(reference))
+    if norm > 0.0:
+        reference = reference / norm
+    assert descriptor_from_polar(fields, cfg).tobytes() == reference.tobytes()
+
+
 def test_pair_count_independence_under_stationarity():
     rng = np.random.default_rng(9)
     polar = _random_polar(rng)

@@ -1,14 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import blurred_noise
-from dgme import flow
-from dgme._resample import sample_bilinear, sample_bilinear_planes
+from dgme import flow, synth
+from dgme._resample import (
+    resize_bilinear,
+    resize_bilinear_planes,
+    sample_bilinear,
+    sample_bilinear_planes,
+)
 from dgme.errors import DataError
 from dgme.flow import FlowField, cart2polar, farneback_flow
-from oracles import block_match_flow, sample_bilinear_2d
+from oracles import block_match_flow, resize_bilinear_grid, sample_bilinear_2d
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +100,80 @@ def test_two_pixel_shift_median_epe(seed):
     assert float(np.median(epe)) < 0.3
 
 
+# 2-frame synthetic clips with analytic flow: pans and tilts move every
+# pixel by sign * magnitude px, a zoom by (x - c)(s - 1) about the centre c
+_ACCURACY_CASES = (
+    [(label, mag, sign) for label in ("pan", "tilt") for mag in (0.35, 1.3, 2.7, 5.5, 8.0)
+     for sign in (1, -1)]
+    + [("zoom", mag, sign) for mag in (0.35, 1.3, 2.7) for sign in (1, -1)]
+)
+# fixed before the suite was first run: far below the 0.5 px static
+# threshold and the 30 degree bins
+MAX_MEDIAN_EPE = 0.1
+
+
+@pytest.mark.parametrize("label, mag, sign", _ACCURACY_CASES)
+def test_sub_pixel_and_large_motion_median_epe(label, mag, sign):
+    size, margin = 96, 16
+    c = (size - 1) / 2.0
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    if label == "pan":
+        u_true, v_true = np.full_like(xx, sign * mag), np.zeros_like(yy)
+    elif label == "tilt":
+        u_true, v_true = np.zeros_like(xx), np.full_like(yy, sign * mag)
+    else:
+        s = 1.0 + sign * mag / (size / 2.0)
+        u_true, v_true = (xx - c) * (s - 1.0), (yy - c) * (s - 1.0)
+    inner = slice(margin, size - margin)
+    for seed in (1, 2, 3):
+        clip = synth.make_clip(synth.SynthSpec(label, frames=2, size=size, motion_magnitude=mag,
+                                               direction_sign=sign, texture_seed=seed))
+        field = farneback_flow(clip.frames[0], clip.frames[1])
+        epe = np.hypot(field.u.astype(np.float64) - u_true, field.v.astype(np.float64) - v_true)
+        median = float(np.median(epe[inner, inner]))
+        assert median <= MAX_MEDIAN_EPE, f"texture seed {seed}: median EPE {median:.4f} px"
+
+
+# sha256 of farneback_flow's float32 u and v bytes for one synthetic pair
+# per size, and of the float64 (u, v) of every fixed-point iteration in
+# call order: a last-bit change in the solve seldom crosses a float32
+# rounding boundary, so the float32 digests alone miss, for example, a
+# swap of the two additions into db1
+_GOLDEN_FLOW_SHA256 = {
+    ("zoom", 96, 2.0, 1, 3): (
+        "37f930ad7228f33ba0947575895d2b4332150a644e98c777b816a6fb74bbc80a",
+        "524fb34376de0eb68fb999af8c0ed02811e5371f8669767b20376972ecd67cb2",
+        "2a8cb617e20d1afcf394938e8261def25581dec5a3f12434c2742f89986763eb",
+    ),
+    ("pan", 224, 1.7, -1, 5): (
+        "e5d9059b6b96f30d114663a5f76a86fcf2575c772c0e776c5256411278cb7db3",
+        "8eaceaecd12ff7fe801729be1d58cdc9594f87f8e42c7ab830fbd55000ee69ef",
+        "cb2596d82eaff91ec54b38eec0cea58a5a93460c3b1c2ee442c5e9903a3b672c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_FLOW_SHA256), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_golden_flow_bits(case, monkeypatch):
+    label, size, mag, sign, seed = case
+    clip = synth.make_clip(synth.SynthSpec(label, frames=2, size=size, motion_magnitude=mag,
+                                           direction_sign=sign, texture_seed=seed))
+    iterations = hashlib.sha256()
+    iterate = flow._flow_iteration
+
+    def recording(*args):
+        u, v = iterate(*args)
+        iterations.update(u.tobytes())
+        iterations.update(v.tobytes())
+        return u, v
+
+    monkeypatch.setattr(flow, "_flow_iteration", recording)
+    field = farneback_flow(clip.frames[0], clip.frames[1])
+    assert field.u.dtype == field.v.dtype == np.float32
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (field.u, field.v))
+    assert digests + (iterations.hexdigest(),) == _GOLDEN_FLOW_SHA256[case]
+
+
 def test_farneback_deterministic(texture128):
     shifted = np.roll(texture128, 3, axis=0)
     a = farneback_flow(texture128, shifted)
@@ -130,10 +211,39 @@ def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span
         assert np.array_equal(warped, reference)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(1, 12), w=st.integers(1, 12),
+    out_h=st.integers(1, 12), out_w=st.integers(1, 12),
+    n_planes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["float64", "uint8", "uint8-as-float64"]),
+)
+def test_separable_resize_matches_full_grid_resize(h, w, out_h, out_w, n_planes, seed, kind):
+    # sizes from 1 to 12 cover up- and downsizing, the same shape, and an
+    # h or w of 1, where the 2-sample neighbourhood collapses
+    rng = np.random.default_rng(seed)
+    if kind == "float64":
+        planes = [rng.normal(size=(h, w)) * 10.0 ** rng.integers(-3, 4) for _ in range(n_planes)]
+    else:
+        planes = [rng.integers(0, 256, size=(h, w), dtype=np.uint8) for _ in range(n_planes)]
+        if kind == "uint8-as-float64":
+            planes = [p.astype(np.float64) for p in planes]
+    shared = resize_bilinear_planes(planes, out_h, out_w)
+    assert len(shared) == n_planes
+    for plane, resized in zip(planes, shared):
+        reference = resize_bilinear_grid(plane, out_h, out_w)
+        single = resize_bilinear(plane, out_h, out_w)
+        assert resized.dtype == single.dtype == reference.dtype
+        assert resized.tobytes() == reference.tobytes()
+        assert single.tobytes() == reference.tobytes()
+
+
 def test_shared_index_warp_refuses_mismatched_planes():
     with pytest.raises(ValueError, match="planes differ in shape"):
         sample_bilinear_planes([np.zeros((4, 4)), np.zeros((4, 5))],
                                np.zeros((4, 4)), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="planes differ in shape"):
+        resize_bilinear_planes([np.zeros((4, 4)), np.zeros((4, 5))], 4, 4)
 
 
 def _cold_flow(prev, nxt):
