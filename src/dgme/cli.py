@@ -9,6 +9,7 @@ failure. Errors print a single ``error: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -163,6 +164,10 @@ def cmd_synth(args) -> int:
             raise UsageError(f"unknown class {c!r}, valid classes: {', '.join(synth.CLASSES)}")
         if c in classes[:i]:
             raise UsageError(f"class {c!r} repeated in --classes")
+    if not (math.isfinite(args.mag_min) and math.isfinite(args.mag_max)
+            and 0 < args.mag_min <= args.mag_max):
+        raise UsageError("--mag-min and --mag-max must be finite with "
+                         f"0 < --mag-min <= --mag-max, got {args.mag_min:g} and {args.mag_max:g}")
     rows = synth.make_corpus(
         args.out, classes, args.per_class, args.domain, args.seed,
         size=args.size, frames=args.frames,
@@ -181,6 +186,8 @@ def _extract_one(task):
 
 
 def cmd_extract(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     ann_path = Path(args.ann)
     meta, rows = ev.read_annotations_csv(ann_path)
     root = ann_path.parent

@@ -5,8 +5,10 @@ polynomial expansion. Each image is fitted per pixel as
 f(x) ~ x'Ax + b'x + c over a Gaussian-weighted neighborhood; for a
 translation d the linear coefficients satisfy b2 = b1 - 2*A*d, so d is
 recovered from expansion-coefficient differences, made robust by
-Gaussian-weighted neighborhood averaging of the normal equations, and
-wrapped in a coarse-to-fine pyramid with fixed-point iterations per level.
+averaging the normal equations over a ``WINDOW_SIZE`` px box with
+reflect-101 borders (OpenCV's default window; it replaced an earlier
+Gaussian window), and wrapped in a coarse-to-fine pyramid with
+fixed-point iterations per level.
 
 All internal math is 64-bit; stored fields are 32-bit floats. The
 estimator is a pure function of its inputs. The solve of each fixed-point
@@ -26,7 +28,7 @@ whatever was called before it. The cached arrays are read-only, so an
 in-place write into them by mistake raises an error, and the memo holds
 at most one frame's expansions (about 2.6 MB at 224 px).
 
-``scipy.ndimage`` is imported inside the functions that correlate, so a
+``scipy.ndimage`` is imported inside the functions that filter, so a
 command that computes no flow never loads it.
 """
 
@@ -146,20 +148,29 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
     return a11, a22, a12, bx, by
 
 
-def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
+def _window_mean(planes: np.ndarray) -> np.ndarray:
+    """Mean of each (h, w) plane of a (k, h, w) stack over the
+    ``WINDOW_SIZE`` px box centred on every pixel, written into ``planes``.
+    Borders reflect without repeating the edge pixel (reflect-101), again
+    and again where a plane is narrower than the window."""
+    from scipy.ndimage import uniform_filter1d
+
+    rows = uniform_filter1d(planes, WINDOW_SIZE, axis=1, mode="mirror")
+    return uniform_filter1d(rows, WINDOW_SIZE, axis=2, output=planes, mode="mirror")
+
+
+def _flow_iteration(exp1, exp2, u, v, yy, xx):
     """One fixed-point update of the displacement field.
 
     Warps the second image's expansion coefficients to x + d0, forms the
-    per-pixel normal equations G*d = h from averaged coefficients, blurs
-    both sides with the Gaussian window ``win``, and solves the 2x2
+    per-pixel normal equations G*d = h from averaged coefficients, averages
+    both sides over the box window (``_window_mean``), and solves the 2x2
     system. ``yy``, ``xx`` are the level's pixel-coordinate grids.
 
     The solve works in place on the fresh warp outputs, one temporary plane
     and one (5, h, w) buffer, with the operations and operand order of
     the plain expressions in the comments, so it rounds the same way.
     """
-    from scipy.ndimage import correlate1d
-
     a11_1, a22_1, a12_1, bx1, by1 = exp1
     a11, a22, a12, db1, db2 = sample_bilinear_planes(exp2, yy + v, xx + u)
     tmp = np.empty_like(u)
@@ -193,8 +204,7 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx, win):
     np.multiply(a12, db1, out=h2)
     h2 += np.multiply(a22, db2, out=tmp)
 
-    blurred = correlate1d(planes, win, axis=1, mode="mirror")
-    correlate1d(blurred, win, axis=2, output=planes, mode="mirror")
+    _window_mean(planes)
 
     # det = g11*g22 - g12*g12 + eps
     # u_new = (g22*h1 - g12*h2) / det, v_new = (g11*h2 - g12*h1) / det
@@ -279,8 +289,6 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
     # prev first: in a clip it is the frame the memo holds from the last pair
     exp1 = _frame_expansions(prev)
     exp2 = _frame_expansions(nxt)
-    half = WINDOW_SIZE // 2
-    win = _gaussian_kernel(half, max(0.3 * half, 0.5))
 
     u = v = None
     for level in reversed(range(len(exp1))):
@@ -295,7 +303,7 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
             v *= hh / ph
         yy, xx = np.mgrid[0:hh, 0:ww].astype(np.float64)
         for _ in range(ITERATIONS):
-            u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx, win)
+            u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx)
     return FlowField(u, v)
 
 

@@ -28,6 +28,11 @@ Y8SEQ_MAGIC = b"Y8SQ"
 # BT.601 luma weights for PPM conversion
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64)
 
+# most pixels a frame resized to the target size may hold, checked before
+# any frame is resized: at this size one float64 plane takes 128 MiB, and
+# the flow of a frame pair holds a few dozen planes of the cropped frame
+MAX_FRAME_PIXELS = 4096 * 4096
+
 
 @dataclass
 class FrameSequence:
@@ -182,18 +187,19 @@ def _read_frame_dir(path: Path) -> np.ndarray:
     return np.stack(frames)
 
 
+def _resized_shape(h: int, w: int, target: int) -> tuple[int, int]:
+    """(height, width) of an h x w frame resized so that its shorter side
+    equals ``target`` exactly."""
+    if min(h, w) == target:
+        return h, w
+    if h <= w:
+        return target, max(target, int(round(w * target / h)))
+    return max(target, int(round(h * target / w))), target
+
+
 def _resize_shorter_side(frame: np.ndarray, target: int) -> np.ndarray:
     """Bilinear resize so the shorter side equals ``target`` exactly."""
-    h, w = frame.shape
-    if min(h, w) == target:
-        out_h, out_w = h, w
-    elif h <= w:
-        out_h = target
-        out_w = max(target, int(round(w * target / h)))
-    else:
-        out_w = target
-        out_h = max(target, int(round(h * target / w)))
-    return resize_bilinear(frame.astype(np.float64), out_h, out_w)
+    return resize_bilinear(frame.astype(np.float64), *_resized_shape(*frame.shape, target))
 
 
 def _center_crop(frame: np.ndarray, size: int) -> np.ndarray:
@@ -209,14 +215,22 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
     Frames are taken at stride ``frame_interval`` starting at source frame
     0, each resized so the shorter side equals ``target_size``, then
     center-cropped to a square. Pure function of (file bytes, spec).
+    Frames that the resize would make larger than ``MAX_FRAME_PIXELS``
+    are refused before any is resized.
     """
     path = Path(path)
     source = _read_frame_dir(path) if path.is_dir() else read_y8seq(path).frames
 
     need = spec.required_source_frames
-    have = source.shape[0]
+    have, h, w = source.shape
     if have < need:
         raise DataError(f"insufficient frames: need {need}, have {have}")
+    out_h, out_w = _resized_shape(h, w, spec.target_size)
+    if out_h * out_w > MAX_FRAME_PIXELS:
+        raise DataError(
+            f"target size {spec.target_size} px resizes the {w}x{h} frames of {path} "
+            f"to {out_w}x{out_h}, more than {MAX_FRAME_PIXELS} pixels"
+        )
 
     indices = np.arange(spec.frames_per_clip) * spec.frame_interval
     out = []

@@ -105,3 +105,26 @@ def resize_bilinear_grid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     grid_y = np.repeat(ys[:, None], out_w, axis=1)
     grid_x = np.repeat(xs[None, :], out_h, axis=0)
     return sample_bilinear_2d(img, grid_y, grid_x)
+
+
+def box_mean_reflect101(planes: np.ndarray, size: int) -> np.ndarray:
+    """Mean of each plane of a (k, h, w) stack over the ``size`` x ``size``
+    box centred on every pixel, read pixel by pixel. Out-of-frame indices
+    reflect about the edge pixel without repeating it (reflect-101: -1 -> 1,
+    n -> n - 2), as many times as a plane narrower than the box needs."""
+
+    def reflect(i, n):
+        period = 2 * (n - 1)
+        i = abs(i) % period
+        return period - i if i >= n else i
+
+    planes = np.asarray(planes, dtype=np.float64)
+    _, h, w = planes.shape
+    half = size // 2
+    out = np.empty_like(planes)
+    for y in range(h):
+        rows = [reflect(y + dy, h) for dy in range(-half, half + 1)]
+        for x in range(w):
+            cols = [reflect(x + dx, w) for dx in range(-half, half + 1)]
+            out[:, y, x] = planes[:, rows][:, :, cols].sum(axis=(1, 2)) / (size * size)
+    return out

@@ -221,21 +221,17 @@ def test_pair_count_independence_under_stationarity():
 
 # compute_dgme of one synthetic zoom clip (12 frames, 96 px, texture seed 3)
 # as %.9g text: 9 grid cells of 12 directional bins and one static bin each,
-# recorded with the per-pair expansion and the per-plane warp
+# recorded with the 15 px box averaging window in the solve
 GOLDEN_ZOOM_96 = """
-0 0 0 0 0 0 0.0565018624 0.413715655 0.0777003322 0.000767245985 0.000100767682 0
-0.000388399001 0 0 0 0 0 0 0.000341183585 0.0135317632 0.186065388 0.172295017
-0.0164025391 0.000817186712 0.00295460669 0.000187470567 0 0 0 0 0 0 0.000216751449
-0.000626146556 0.0662985835 0.440356809 0.0529038741 0 0 0 5.99126527e-05 0.00238251766
-0.0231236029 0.167995713 0.192331084 0.0145931126 0.0013778338 0 0 0 0.00159521018
-0.00359351889 0.0189156394 0.00469948851 0.00356250634 0.0197734683 0.00340786092
-0.00517155745 0.0165558456 0.00866671292 0.00625514495 0.0166267145 0.00600980935
-0.0688298516 0.170698526 0.0168557429 0.00490500859 0 0 0 0 0 0 0.000563105279
-0.0156026795 0.198322457 5.54855716e-05 0 0 0.00033842884 0.0614125566 0.413076901
-0.0611612529 0.00177356254 0 0 0 0 3.20165783e-05 0.0015674674 0.00521648769
-0.0172135198 0.165692984 0.190213564 0.0196905533 0.0010259908 0 0 0 0 0 0 0.00144262486
-0.0564973993 0.400718563 0.0786841278 0.00236381949 0.000119281372 5.59951562e-05 0 0 0
-0 0 0 0.00119293979
+0 0 0 0 0 0 0.0445085755 0.40821781 0.0598707359 0 0 0 0 0 0 0 0 0 0 0 0.00915533997
+0.190552772 0.15224327 0.0161983138 0 0 0 0 0 0 0 0 0 0 0 0.0382563802 0.456076596
+0.0385908608 0 0 0 0 0 0.0188327411 0.177807209 0.17135082 0.00963516166 0 0 0 0 0
+0.0029087665 0.0183401085 0.00557195309 0.00226436087 0.0226133839 0.00429867992
+0.00555664404 0.0148460261 0.00840804694 0.007841154 0.0163774737 0.00208032514
+0.0634661297 0.163350948 0.0204420969 0 0 0 0 0 0 0 0 0.00970774636 0.188475634 0 0 0 0
+0.0404740069 0.423736419 0.0338248118 0 0 0 0 0 0 0 0 0.0177587406 0.16133003
+0.178191573 0.0166822699 0 0 0 0 0 0 0 0 0.0303212416 0.428746589 0.0425536221 0 0 0 0 0
+0 0 0 0 0
 """
 
 
@@ -342,9 +338,9 @@ def test_config_hash_sensitivity():
 
 
 def test_config_hash_pinned():
-    # the hash of every artifact written with the default threshold, from
-    # the same payload as when the geometry and flow settings were options
-    assert config_hash(DgmeConfig()) == "db5120ef2e5d"
+    # the hash of every artifact written with the default threshold; it
+    # was db5120ef2e5d before the payload named the box averaging window
+    assert config_hash(DgmeConfig()) == "a45e484d53c2"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blurred_noise
@@ -15,7 +15,12 @@ from dgme._resample import (
 )
 from dgme.errors import DataError
 from dgme.flow import FlowField, cart2polar, farneback_flow
-from oracles import block_match_flow, resize_bilinear_grid, sample_bilinear_2d
+from oracles import (
+    block_match_flow,
+    box_mean_reflect101,
+    resize_bilinear_grid,
+    sample_bilinear_2d,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +146,14 @@ def test_sub_pixel_and_large_motion_median_epe(label, mag, sign):
 # swap of the two additions into db1
 _GOLDEN_FLOW_SHA256 = {
     ("zoom", 96, 2.0, 1, 3): (
-        "37f930ad7228f33ba0947575895d2b4332150a644e98c777b816a6fb74bbc80a",
-        "524fb34376de0eb68fb999af8c0ed02811e5371f8669767b20376972ecd67cb2",
-        "2a8cb617e20d1afcf394938e8261def25581dec5a3f12434c2742f89986763eb",
+        "95c8d71612e9656b226f61a7b17782348c8c0c5f99673d7ac87cc2aeff8c4afa",
+        "7f58e2a89fef121b99d3d0ecbfdb996ae37d5382bb16ac9ecb39c42d9d4b7889",
+        "799eadd65779125da739e5470f25de0161f84fbfb7a465e5f926fa1b36473c01",
     ),
     ("pan", 224, 1.7, -1, 5): (
-        "e5d9059b6b96f30d114663a5f76a86fcf2575c772c0e776c5256411278cb7db3",
-        "8eaceaecd12ff7fe801729be1d58cdc9594f87f8e42c7ab830fbd55000ee69ef",
-        "cb2596d82eaff91ec54b38eec0cea58a5a93460c3b1c2ee442c5e9903a3b672c",
+        "fb60276dee745b22bf0ab50c308037813cb3ae1b8ac14f596e2e85a5406be4c4",
+        "e09a438826936f8714dc6e87c3b70e53bc56b253bca184215ffe11583c24e949",
+        "f09a3ad4e7cf6864771fdd58db9ee8dbaac03db8192e5ce51dc5f4d648681c7f",
     ),
 }
 
@@ -236,6 +241,22 @@ def test_separable_resize_matches_full_grid_resize(h, w, out_h, out_w, n_planes,
         assert resized.dtype == single.dtype == reference.dtype
         assert resized.tobytes() == reference.tobytes()
         assert single.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(7, 40), w=st.integers(7, 40), n_planes=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=7, w=7, n_planes=5, seed=0)
+@example(h=7, w=40, n_planes=1, seed=1)
+@example(h=14, w=15, n_planes=2, seed=2)
+def test_window_mean_matches_per_pixel_reflect101_box(h, w, n_planes, seed):
+    # pyramid levels go down to 7 px; below the 15 px window the reflection
+    # folds back on itself more than once
+    planes = np.random.default_rng(seed).normal(size=(n_planes, h, w))
+    expected = box_mean_reflect101(planes, flow.WINDOW_SIZE)
+    out = flow._window_mean(planes)
+    assert out is planes
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_shared_index_warp_refuses_mismatched_planes():

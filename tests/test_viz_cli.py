@@ -327,22 +327,22 @@ def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
     v = dgme.__version__
     expected = {
         corpus / "annotations.csv": f"# dgme-corpus version={v} seed=5 domain=modern",
-        features: f"# dgme-features version={v} seed=5 config_hash=db5120ef2e5d domain=modern",
-        tmp_path / "cal.csv": f"# dgme-features version={v} seed=5 config_hash=db5120ef2e5d "
+        features: f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 domain=modern",
+        tmp_path / "cal.csv": f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 "
                               "domain=modern calibrated=true",
         splits / "train.csv": f"# dgme-annotations version={v} seed=5 schema=modern4 "
                               "domain=modern",
         tmp_path / "cm.csv": f"# dgme-confusion version={v} seed=5 schema=modern4",
-        tmp_path / "log.csv": f"# dgme-trainlog version={v} seed=5 config_hash=db5120ef2e5d",
+        tmp_path / "log.csv": f"# dgme-trainlog version={v} seed=5 config_hash=a45e484d53c2",
     }
     for path, line in expected.items():
         assert path.read_text().splitlines()[0] == line, path.name
     assert (tmp_path / "rose.svg").read_text().splitlines()[1] == (
-        f"<!-- dgme-viz version={v} seed=5 config_hash=db5120ef2e5d -->"
+        f"<!-- dgme-viz version={v} seed=5 config_hash=a45e484d53c2 -->"
     )
 
     # the readers parse what the writer wrote, values as strings
-    meta = {"version": v, "seed": 5, "config_hash": "db5120ef2e5d", "domain": "modern"}
+    meta = {"version": v, "seed": 5, "config_hash": "a45e484d53c2", "domain": "modern"}
     as_text = {k: str(val) for k, val in meta.items()}
     assert parse_meta("# " + format_meta("features", meta)) == as_text
     assert read_features_csv(features)[0] == as_text
@@ -597,6 +597,23 @@ def test_cli_synth_refuses_oversized_pan_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mag_min, mag_max", [
+    ("nan", "4"), ("1", "inf"), ("3", "1"), ("0", "2"), ("-1", "2"),
+], ids=["nan-min", "inf-max", "min-above-max", "zero-min", "negative-min"])
+def test_cli_synth_refuses_bad_magnitude_range(tmp_path, capsys, mag_min, mag_max):
+    # NaN used to end in "cannot convert float NaN to integer", 3 > 1 in
+    # numpy's "high - low < 0", and a negative draw in an error after the
+    # corpus directory was made
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--classes", "pan", "--per-class", "1", "--out", str(out),
+               "--size", "32", "--frames", "4", "--mag-min", mag_min, "--mag-max", mag_max])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["error: --mag-min and --mag-max must be finite with 0 < --mag-min <= "
+                   f"--mag-max, got {float(mag_min):g} and {float(mag_max):g}"]
+    assert not out.exists()
+
+
 def test_cli_extract_starts_at_most_one_worker_per_clip(tmp_path, monkeypatch):
     sizes = []
 
@@ -632,6 +649,32 @@ def test_cli_extract_refuses_bad_threshold(tmp_path, capsys, mthr):
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: magnitude_threshold must be finite and >= 0"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_extract_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    # both used to run serially and exit 0
+    rc = main(_y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan")) + ["--jobs", jobs])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("width, height, target", [(32, 32, 100000), (65536, 2, 512)],
+                         ids=["huge-target", "wide-clip"])
+def test_cli_extract_refuses_oversized_target_before_allocating(tmp_path, capsys,
+                                                                width, height, target):
+    # the resized frames would hold 1e10 and 8.6e9 pixels; the check comes
+    # before the resize allocates them, so the outcome does not depend on
+    # how much memory the machine promises
+    args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), width=width, height=height)
+    args[args.index("--target-size") + 1] = str(target)
+    rc = main(args)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: target size {target} px resizes")
+    assert err[0].endswith(f"more than {4096 * 4096} pixels")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def _split_args(mini_corpus, out_dir):
