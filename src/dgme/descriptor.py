@@ -73,13 +73,14 @@ class NormStats:
 def config_hash(cfg: DgmeConfig) -> str:
     """Stable short hash binding features to the settings that produced
     them: the magnitude threshold, the fixed geometry and the fixed
-    Farneback settings, including the kind of averaging window (box), so
-    artifacts made with the earlier Gaussian window are refused."""
+    Farneback settings, including the kind of averaging window
+    (``flow.WINDOW_KIND``), so artifacts made with the earlier Gaussian
+    window are refused."""
     payload = json.dumps({
         "dgme": {"grid": GRID, "directional_bins": DIRECTIONAL_BINS,
                  "magnitude_threshold": cfg.magnitude_threshold},
         "flow": {"pyramid_levels": flow.PYRAMID_LEVELS, "pyramid_scale": flow.PYRAMID_SCALE,
-                 "window": "box", "window_size": flow.WINDOW_SIZE,
+                 "window": flow.WINDOW_KIND, "window_size": flow.WINDOW_SIZE,
                  "iterations": flow.ITERATIONS,
                  "poly_n": flow.POLY_N, "poly_sigma": flow.POLY_SIGMA},
     }, sort_keys=True, separators=(",", ":"))

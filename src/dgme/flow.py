@@ -49,6 +49,7 @@ _DET_EPS = 1e-3
 # records them in every artifact
 PYRAMID_LEVELS = 3
 PYRAMID_SCALE = 0.5
+WINDOW_KIND = "box"
 WINDOW_SIZE = 15
 ITERATIONS = 3
 POLY_N = 5
@@ -150,7 +151,8 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
 
 def _window_mean(planes: np.ndarray) -> np.ndarray:
     """Mean of each (h, w) plane of a (k, h, w) stack over the
-    ``WINDOW_SIZE`` px box centred on every pixel, written into ``planes``.
+    ``WINDOW_SIZE`` px window of kind ``WINDOW_KIND`` (a box) centred on
+    every pixel, written into ``planes``.
     Borders reflect without repeating the edge pixel (reflect-101), again
     and again where a plane is narrower than the window."""
     from scipy.ndimage import uniform_filter1d

@@ -244,14 +244,18 @@ def test_separable_resize_matches_full_grid_resize(h, w, out_h, out_w, n_planes,
 
 
 @settings(max_examples=60, deadline=None)
-@given(h=st.integers(7, 40), w=st.integers(7, 40), n_planes=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
+@given(h=st.integers(flow.POLY_N, 40), w=st.integers(flow.POLY_N, 40),
+       n_planes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(h=5, w=5, n_planes=5, seed=3)
+@example(h=5, w=6, n_planes=2, seed=4)
 @example(h=7, w=7, n_planes=5, seed=0)
 @example(h=7, w=40, n_planes=1, seed=1)
 @example(h=14, w=15, n_planes=2, seed=2)
 def test_window_mean_matches_per_pixel_reflect101_box(h, w, n_planes, seed):
-    # pyramid levels go down to 7 px; below the 15 px window the reflection
-    # folds back on itself more than once
+    # farneback_flow takes frames down to POLY_N (5) px, and level 0 is the
+    # frame itself; below the 15 px window the reflection folds back on
+    # itself more than once
+    assert flow.WINDOW_KIND == "box"
     planes = np.random.default_rng(seed).normal(size=(n_planes, h, w))
     expected = box_mean_reflect101(planes, flow.WINDOW_SIZE)
     out = flow._window_mean(planes)
