@@ -180,22 +180,23 @@ def cmd_synth(args) -> int:
 
 # module-level worker so multiprocessing can pickle it
 def _extract_one(task):
-    index, clip_path, sampling, dcfg = task
+    index, clip_path, sampling, magnitude_threshold = task
     seq = load_clip(clip_path, sampling)
-    return index, dsc.compute_dgme(seq, dcfg)
+    return index, dsc.compute_dgme(seq, magnitude_threshold)
 
 
 def cmd_extract(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if not 0.0 <= args.mthr < math.inf:
+        raise UsageError("magnitude_threshold must be finite and >= 0")
     ann_path = Path(args.ann)
     meta, rows = ev.read_annotations_csv(ann_path)
     root = ann_path.parent
-    dcfg = dsc.DgmeConfig(magnitude_threshold=args.mthr)
     sampling = SamplingSpec(frames_per_clip=args.frames_per_clip,
                             frame_interval=args.interval,
                             target_size=args.target_size)
-    cfg_hash = dsc.config_hash(dcfg)
+    cfg_hash = dsc.config_hash(args.mthr)
 
     tasks = []
     clip_ids: dict[str, int] = {}
@@ -209,7 +210,7 @@ def cmd_extract(args) -> int:
                 f"row {i + 1}: clip id {cid!r} of {rel} duplicates row {clip_ids[cid] + 1}"
             )
         clip_ids[cid] = i
-        tasks.append((i, str(clip_path), sampling, dcfg))
+        tasks.append((i, str(clip_path), sampling, args.mthr))
 
     workers = min(args.jobs, len(tasks))  # at most one worker per clip
     if workers <= 1:
@@ -219,8 +220,10 @@ def cmd_extract(args) -> int:
         # share its pages instead of each importing its own copy
         import scipy.ndimage  # noqa: F401
 
+        # map's default chunk size, ceil(len(tasks) / (4 * workers)), cuts at
+        # least one chunk per worker; results come back in task order
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_extract_one, tasks, chunksize=8)
+            results = pool.map(_extract_one, tasks)
     matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
     labels = [label for _, label in rows]
     dsc.write_features_csv(args.out, list(clip_ids), labels, matrix,

@@ -46,15 +46,6 @@ BIN_WIDTH = 360.0 / DIRECTIONAL_BINS
 
 
 @dataclass
-class DgmeConfig:
-    magnitude_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.magnitude_threshold < np.inf:
-            raise ValueError("magnitude_threshold must be finite and >= 0")
-
-
-@dataclass
 class NormStats:
     mean: np.ndarray
     std: np.ndarray
@@ -70,7 +61,7 @@ class NormStats:
             raise ValueError("std entries must be >= 0")
 
 
-def config_hash(cfg: DgmeConfig) -> str:
+def config_hash(magnitude_threshold: float) -> str:
     """Stable short hash binding features to the settings that produced
     them: the magnitude threshold, the fixed geometry and the fixed
     Farneback settings, including the kind of averaging window
@@ -78,7 +69,7 @@ def config_hash(cfg: DgmeConfig) -> str:
     window are refused."""
     payload = json.dumps({
         "dgme": {"grid": GRID, "directional_bins": DIRECTIONAL_BINS,
-                 "magnitude_threshold": cfg.magnitude_threshold},
+                 "magnitude_threshold": magnitude_threshold},
         "flow": {"pyramid_levels": flow.PYRAMID_LEVELS, "pyramid_scale": flow.PYRAMID_SCALE,
                  "window": flow.WINDOW_KIND, "window_size": flow.WINDOW_SIZE,
                  "iterations": flow.ITERATIONS,
@@ -103,7 +94,7 @@ def grid_cells(height: int, width: int, grid: int) -> list[tuple[int, int, int, 
 
 
 def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
-                   cfg: DgmeConfig) -> np.ndarray:
+                   magnitude_threshold: float) -> np.ndarray:
     """Un-normalized 13-bin histogram for one grid cell.
 
     Pixels at or above the magnitude threshold add their magnitude to
@@ -115,15 +106,15 @@ def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
         raise ValueError(f"cell {cell} outside frame {polar.height}x{polar.width}")
     m = polar.m[y0:y1, x0:x1].astype(np.float64).ravel()
     theta = polar.theta[y0:y1, x0:x1].astype(np.float64).ravel()
-    moving = m >= cfg.magnitude_threshold
+    moving = m >= magnitude_threshold
     idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
     hist = np.zeros(BINS_PER_CELL, dtype=np.float64)
     hist[:DIRECTIONAL_BINS] = np.bincount(idx, weights=m[moving], minlength=DIRECTIONAL_BINS)
-    hist[DIRECTIONAL_BINS] = cfg.magnitude_threshold * float((~moving).sum())
+    hist[DIRECTIONAL_BINS] = magnitude_threshold * float((~moving).sum())
     return hist
 
 
-def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.ndarray:
+def descriptor_from_polar(fields: Sequence[PolarFlow], magnitude_threshold: float) -> np.ndarray:
     """Aggregate per-pair polar fields into one normalized descriptor.
 
     A cell-label map of the frame is built once; each pair then takes one
@@ -150,14 +141,14 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.nd
             raise DataError("flow field sizes differ within one clip")
         m = polar.m.astype(np.float64).ravel()
         theta = polar.theta.astype(np.float64).ravel()
-        moving = m >= cfg.magnitude_threshold
+        moving = m >= magnitude_threshold
         idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
         idx += labels[moving] * DIRECTIONAL_BINS
         acc[:, :DIRECTIONAL_BINS] += np.bincount(
             idx, weights=m[moving], minlength=n_cells * DIRECTIONAL_BINS,
         ).reshape(n_cells, DIRECTIONAL_BINS)
         static = np.bincount(labels[~moving], minlength=n_cells)
-        acc[:, DIRECTIONAL_BINS] += cfg.magnitude_threshold * static
+        acc[:, DIRECTIONAL_BINS] += magnitude_threshold * static
     vec = acc.ravel()
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
@@ -165,7 +156,7 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], cfg: DgmeConfig) -> np.nd
     return vec
 
 
-def compute_dgme(seq: FrameSequence, cfg: DgmeConfig) -> np.ndarray:
+def compute_dgme(seq: FrameSequence, magnitude_threshold: float) -> np.ndarray:
     """Descriptor for one clip from its consecutive sampled frame pairs.
     ``farneback_flow`` refuses frames smaller than its 5 px kernel, so
     every grid cell holds at least one pixel."""
@@ -173,7 +164,7 @@ def compute_dgme(seq: FrameSequence, cfg: DgmeConfig) -> np.ndarray:
         cart2polar(farneback_flow(seq.frames[t], seq.frames[t + 1]))
         for t in range(seq.frame_count - 1)
     ]
-    return descriptor_from_polar(fields, cfg)
+    return descriptor_from_polar(fields, magnitude_threshold)
 
 
 def fit_stats(matrix: np.ndarray, config_hash: str) -> NormStats:

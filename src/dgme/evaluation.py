@@ -53,12 +53,6 @@ class AnnotatedSet:
             if label not in self.schema.classes:
                 raise ValueError(f"label {label!r} of {clip_id} not in schema {self.schema.name}")
 
-    def class_counts(self) -> dict:
-        counts = {c: 0 for c in self.schema.classes}
-        for _, label in self.entries:
-            counts[label] += 1
-        return counts
-
 
 @dataclass
 class ConfusionMatrix:

@@ -111,19 +111,20 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return correlate1d(out, g, axis=1, mode="mirror")
 
 
-def _poly_expand(img: np.ndarray, n: int, sigma: float):
+def _poly_expand(img: np.ndarray):
     """Per-pixel quadratic fit coefficients.
 
     Fits f(dx, dy) ~ c + bx*dx + by*dy + axx*dx^2 + ayy*dy^2 + axy*dx*dy
-    around every pixel under a separable Gaussian applicability, via six
+    around every pixel under a separable Gaussian applicability of
+    ``POLY_N`` taps and sigma ``POLY_SIGMA``, via six
     separable correlations. Returns (a11, a22, a12, bx, by) where the
     quadratic form matrix is A = [[a11, a12], [a12, a22]] (a12 = axy/2).
     """
     from scipy.ndimage import correlate1d
 
-    half = n // 2
+    half = POLY_N // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
-    g = _gaussian_kernel(half, sigma)
+    g = _gaussian_kernel(half, POLY_SIGMA)
     xg = x * g
     xxg = x * x * g
     s2 = float((x * x * g).sum())
@@ -246,7 +247,7 @@ def _expand_frame(frame: np.ndarray) -> tuple:
             # anti-alias blur, not by repeated halving
             sigma = (1.0 / (PYRAMID_SCALE ** level) - 1.0) * 0.5
             p = resize_bilinear(_gaussian_blur(img, sigma), hh, ww)
-        exp = _poly_expand(p, POLY_N, POLY_SIGMA)
+        exp = _poly_expand(p)
         for a in exp:
             a.flags.writeable = False
         levels.append(exp)

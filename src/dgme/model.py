@@ -35,6 +35,10 @@ LAYER_NORM_EPS = 1e-5
 ADAMW_BETAS = (0.9, 0.999)
 ADAMW_EPS = 1e-8
 WEIGHT_DECAY = 0.01
+# peak of the cosine learning-rate schedule
+LR_MAX = 1e-3
+# epochs without a better validation macro F1 before training stops
+EARLY_STOP_PATIENCE = 3
 # learning rate the cosine schedule anneals to
 COSINE_FLOOR = 1e-5
 PROB_FLOOR = 1e-12
@@ -71,20 +75,16 @@ class FusionHeadParams:
 
 @dataclass
 class TrainConfig:
-    """Length and schedule of one run; the CLI sets only epochs, batch size
-    and seed. AdamW's betas, epsilon and weight decay are module constants."""
+    """Length of one run. The learning-rate peak, the early-stop patience
+    and AdamW's betas, epsilon and weight decay are module constants."""
 
     epochs: int = 12
     batch_size: int = 32
-    lr_max: float = 1e-3
-    early_stop_patience: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr_max <= 0:
-            raise ValueError("lr_max must be positive")
 
 
 @dataclass
@@ -108,11 +108,11 @@ class LabeledFeatures:
             raise ValueError("backbone rows must align with dgme rows")
 
 
-def _standardize(x: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
+def _standardize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -261,10 +261,10 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         losses = []
-        lr = cfg.lr_max
+        lr = LR_MAX
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            lr = cosine_lr(global_step, total_steps, cfg.lr_max, COSINE_FLOOR)
+            lr = cosine_lr(global_step, total_steps, LR_MAX, COSINE_FLOOR)
             loss, grads = backward(
                 train_set.backbone[idx], train_set.dgme[idx], train_set.labels[idx], params
             )
@@ -304,7 +304,7 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.early_stop_patience:
+            if stall >= EARLY_STOP_PATIENCE:
                 break
 
     if not np.isfinite(best_params.W).all() or not np.isfinite(best_params.b).all():
@@ -339,30 +339,21 @@ def _clip_statistics(seq: FrameSequence) -> np.ndarray:
     return np.concatenate([hist, energies])
 
 
-def _projection(seed: int, dim: int) -> np.ndarray:
-    proj = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
-    proj /= np.sqrt(_STATS_WIDTH)
-    return proj
-
-
-def stub_embedding(seq: FrameSequence, seed: int = 0, dim: int = EMBED_DIM) -> np.ndarray:
-    """Deterministic clip embedding standing in for a video backbone.
+class StubEmbeddingProvider:
+    """Deterministic clip embedding standing in for a video backbone; pure
+    per clip.
 
     Concatenates a clip-averaged 32-bin intensity histogram with per-cell
     mean absolute frame-difference energies over a 3x3 grid, then applies
-    a fixed seeded random projection to ``dim`` dimensions.
+    a seeded random projection to ``dim`` dimensions. The projection is
+    drawn once, when the provider is made.
     """
-    return _projection(seed, dim) @ _clip_statistics(seq)
-
-
-class StubEmbeddingProvider:
-    """Embedding provider computing ``stub_embedding``; pure per clip. The
-    seeded projection is drawn once, when the provider is made."""
 
     def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
         self.dimension = dim
         self.descriptor = f"stub-intensity-motion-v1(seed={seed},dim={dim})"
-        self._projection = _projection(seed, dim)
+        self._projection = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
+        self._projection /= np.sqrt(_STATS_WIDTH)
 
     def embed(self, seq: FrameSequence) -> np.ndarray:
         return self._projection @ _clip_statistics(seq)

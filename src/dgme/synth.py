@@ -262,10 +262,10 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     for c in classes:
         if c not in CLASSES:
             raise DataError(f"unknown class {c!r}, valid classes: {', '.join(CLASSES)}")
-        if c != "static":
-            # refuse before writing anything: any clip may draw the largest
-            # magnitude, and a zoom clip may zoom out
-            _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1))
+        # refuse before writing anything: the worst-case spec of every
+        # class, static too, checks frames and size; any clip may draw the
+        # largest magnitude, and a zoom clip may zoom out
+        _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,12 @@ from dgme._meta import format_meta
 from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DESCRIPTOR_LENGTH, DIRECTIONAL_BINS, GRID
 from dgme.errors import DataError
 
+# side of the square rose diagram, and of one grid-map cell, in SVG px
+ROSE_SIZE = 300
+CELL_PX = 90
+# radius of the rose's longest wedge and of its outer guide circle
+ROSE_RADIUS = ROSE_SIZE * 0.4
+
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
@@ -37,33 +43,33 @@ def aggregate_bins(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return directional, static
 
 
-def rose_geometry(directional: np.ndarray, max_radius: float = 120.0) -> np.ndarray:
-    """Wedge radii proportional to per-bin mass (zero-safe)."""
+def rose_geometry(directional: np.ndarray) -> np.ndarray:
+    """Wedge radii proportional to per-bin mass, the largest ``ROSE_RADIUS``
+    (zero-safe)."""
     directional = np.asarray(directional, dtype=np.float64)
     peak = directional.max()
     if peak <= 0:
         return np.zeros_like(directional)
-    return max_radius * directional / peak
+    return ROSE_RADIUS * directional / peak
 
 
-def rose_svg(directional: np.ndarray, meta: dict | None = None,
-             size: int = 300) -> str:
+def rose_svg(directional: np.ndarray, meta: dict | None = None) -> str:
     """Rose diagram of the 12 directional bins."""
-    radii = rose_geometry(directional, max_radius=size * 0.4)
-    cx = cy = size / 2.0
+    radii = rose_geometry(directional)
+    cx = cy = ROSE_SIZE / 2.0
     bins = len(directional)
     step = 360.0 / bins
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         _meta_comment(meta),
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{ROSE_SIZE}" height="{ROSE_SIZE}" '
+        f'viewBox="0 0 {ROSE_SIZE} {ROSE_SIZE}">',
+        f'<rect width="{ROSE_SIZE}" height="{ROSE_SIZE}" fill="white"/>',
     ]
     for frac in (1.0, 2.0 / 3.0, 1.0 / 3.0):
         lines.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(size * 0.4 * frac)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ROSE_RADIUS * frac)}" '
             'fill="none" stroke="#cccccc" stroke-width="1"/>'
         )
     for k in range(bins):
@@ -104,14 +110,14 @@ def grid_arrow_angles(values: np.ndarray) -> list[float | None]:
     return angles
 
 
-def grid_svg(values: np.ndarray, meta: dict | None = None, cell_px: int = 90) -> str:
+def grid_svg(values: np.ndarray, meta: dict | None = None) -> str:
     """3x3 grid map: shading by directional mass, arrows by mean direction."""
     values = np.asarray(values, dtype=np.float64)
     angles = grid_arrow_angles(values)
     cells = values.reshape(GRID * GRID, BINS_PER_CELL)
     dir_mass = cells[:, :DIRECTIONAL_BINS].sum(axis=1)
     peak = dir_mass.max()
-    size = GRID * cell_px
+    size = GRID * CELL_PX
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -122,27 +128,27 @@ def grid_svg(values: np.ndarray, meta: dict | None = None, cell_px: int = 90) ->
     ]
     for k in range(GRID * GRID):
         i, j = divmod(k, GRID)
-        x, y = j * cell_px, i * cell_px
+        x, y = j * CELL_PX, i * CELL_PX
         if dir_mass[k] > 0 and peak > 0:
             shade = int(round(255 - 200 * dir_mass[k] / peak))  # darker = more motion
             fill = f'fill="rgb({shade},{shade},{shade})"'
         else:
             fill = 'fill="none"'
         lines.append(
-            f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+            f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" '
             f'{fill} stroke="#444444" stroke-width="1"/>'
         )
         angle = angles[k]
         if angle is None:
             continue
-        ccx, ccy = x + cell_px / 2.0, y + cell_px / 2.0
+        ccx, ccy = x + CELL_PX / 2.0, y + CELL_PX / 2.0
         rad = math.radians(angle)
-        length = cell_px * 0.32
+        length = CELL_PX * 0.32
         tipx = ccx + length * math.cos(rad)
         tipy = ccy + length * math.sin(rad)
         tailx = ccx - length * math.cos(rad)
         taily = ccy - length * math.sin(rad)
-        head = cell_px * 0.10
+        head = CELL_PX * 0.10
         left = rad + math.radians(150.0)
         right = rad - math.radians(150.0)
         lines.append(

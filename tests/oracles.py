@@ -65,13 +65,13 @@ def block_match_flow(prev: np.ndarray, nxt: np.ndarray,
     return FlowField(u, v)
 
 
-def block_match_descriptor(seq, cfg, block: int = 8, search_radius: int = 7):
+def block_match_descriptor(seq, magnitude_threshold, block: int = 8, search_radius: int = 7):
     """Clip descriptor with ``block_match_flow`` in place of the dense estimator."""
     fields = [
         cart2polar(block_match_flow(seq.frames[t], seq.frames[t + 1], block, search_radius))
         for t in range(seq.frame_count - 1)
     ]
-    return descriptor_from_polar(fields, cfg)
+    return descriptor_from_polar(fields, magnitude_threshold)
 
 
 def sample_bilinear_2d(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -17,12 +17,7 @@ import pytest
 from conftest import blurred_noise
 from dgme import synth
 from dgme.cli import main as cli_main
-from dgme.descriptor import (
-    DgmeConfig,
-    cell_histogram,
-    compute_dgme,
-    descriptor_from_polar,
-)
+from dgme.descriptor import cell_histogram, compute_dgme, descriptor_from_polar
 from dgme.evaluation import (
     AnnotatedSet,
     ClassSchema,
@@ -34,7 +29,7 @@ from dgme.flow import PolarFlow, farneback_flow
 from oracles import block_match_descriptor
 from test_model import gradient_check_instances
 
-CFG = DgmeConfig()
+CFG = 0.5  # the magnitude threshold, extract --mthr's default
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -142,8 +137,8 @@ def test_acceptance_2_descriptor_invariants():
         )
 
         cell = (0, polar.height, 0, polar.width)
-        h_lo = cell_histogram(polar, cell, DgmeConfig(magnitude_threshold=0.3))
-        h_hi = cell_histogram(polar, cell, DgmeConfig(magnitude_threshold=1.2))
+        h_lo = cell_histogram(polar, cell, 0.3)
+        h_hi = cell_histogram(polar, cell, 1.2)
         mono_ok += bool(
             np.all(h_hi[:12] <= h_lo[:12] + 1e-12) and h_hi[12] >= h_lo[12] - 1e-12
         )
@@ -355,7 +350,7 @@ def test_acceptance_7_split_fixture_and_static_82_vs_83_count_discrepancy():
         "track": (151, 50, 51),
     }
     got = {
-        cls: (train.class_counts()[cls], val.class_counts()[cls], test.class_counts()[cls])
+        cls: tuple(sum(label == cls for _, label in part.entries) for part in (train, val, test))
         for cls in counts
     }
     fixture_ok = all(got[cls] == expected[cls] for cls in expected)

@@ -7,7 +7,6 @@ import dgme.descriptor
 from dgme import synth
 from dgme.descriptor import (
     DESCRIPTOR_LENGTH,
-    DgmeConfig,
     NormStats,
     apply_zscore,
     cell_histogram,
@@ -25,7 +24,7 @@ from dgme.errors import DataError, NumericError
 from dgme.flow import PolarFlow
 from oracles import block_match_descriptor
 
-CFG = DgmeConfig()
+CFG = 0.5  # the magnitude threshold, extract --mthr's default
 
 
 def _polar(m, theta):
@@ -137,9 +136,8 @@ def test_integer_shift_clips_concentrate_directional_mass(label, sign, bin_):
 
 
 def test_zero_magnitude_threshold_zero_flow_gives_zero_vector():
-    cfg = DgmeConfig(magnitude_threshold=0.0)
     fields = [_polar(np.zeros((6, 6)), np.zeros((6, 6)))]
-    desc = descriptor_from_polar(fields, cfg)
+    desc = descriptor_from_polar(fields, 0.0)
     assert np.all(desc == 0.0)
 
 
@@ -170,11 +168,9 @@ def test_bin_rotation_equivariance(seed):
 def test_threshold_monotonicity(seed):
     rng = np.random.default_rng(seed)
     polar = _random_polar(rng)
-    lo = DgmeConfig(magnitude_threshold=0.3)
-    hi = DgmeConfig(magnitude_threshold=1.1)
     cell = (0, polar.height, 0, polar.width)
-    h_lo = cell_histogram(polar, cell, lo)
-    h_hi = cell_histogram(polar, cell, hi)
+    h_lo = cell_histogram(polar, cell, 0.3)
+    h_hi = cell_histogram(polar, cell, 1.1)
     assert np.all(h_hi[:12] <= h_lo[:12] + 1e-12)
     assert h_hi[12] >= h_lo[12] - 1e-12
 
@@ -190,7 +186,6 @@ def test_one_pass_histogram_matches_per_cell_histograms(h, w, pairs, threshold, 
     # angles are 0 or 360 (bin 0); the magnitudes span ten decades, so
     # float64 sums of them round and a changed summation order shows
     rng = np.random.default_rng(seed)
-    cfg = DgmeConfig(magnitude_threshold=threshold)
     fields = []
     for _ in range(pairs):
         m = (10.0 ** rng.uniform(-8.0, 2.0, size=(h, w))).astype(np.float32)
@@ -203,12 +198,12 @@ def test_one_pass_histogram_matches_per_cell_histograms(h, w, pairs, threshold, 
     acc = np.zeros((len(cells), 13))
     for polar in fields:
         for k, cell in enumerate(cells):
-            acc[k] += cell_histogram(polar, cell, cfg)
+            acc[k] += cell_histogram(polar, cell, threshold)
     reference = acc.ravel()
     norm = float(np.linalg.norm(reference))
     if norm > 0.0:
         reference = reference / norm
-    assert descriptor_from_polar(fields, cfg).tobytes() == reference.tobytes()
+    assert descriptor_from_polar(fields, threshold).tobytes() == reference.tobytes()
 
 
 def test_pair_count_independence_under_stationarity():
@@ -332,15 +327,15 @@ def test_zscore_length_mismatch():
 
 
 def test_config_hash_sensitivity():
-    base = config_hash(DgmeConfig())
-    assert base == config_hash(DgmeConfig())
-    assert base != config_hash(DgmeConfig(magnitude_threshold=0.6))
+    base = config_hash(0.5)
+    assert base == config_hash(0.5)
+    assert base != config_hash(0.6)
 
 
 def test_config_hash_pinned():
     # the hash of every artifact written with the default threshold; it
     # was db5120ef2e5d before the payload named the box averaging window
-    assert config_hash(DgmeConfig()) == "a45e484d53c2"
+    assert config_hash(0.5) == "a45e484d53c2"
 
 
 # ---------------------------------------------------------------------------

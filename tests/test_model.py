@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import dgme.model
 from dgme.errors import DataError, NumericError
 from dgme.model import (
     FusionHeadParams,
@@ -17,7 +18,6 @@ from dgme.model import (
     predict,
     save_model_json,
     softmax,
-    stub_embedding,
     train,
 )
 from dgme.videoio import FrameSequence
@@ -53,9 +53,10 @@ def test_layer_norm_constant_input_is_zero():
     assert np.allclose(_standardize(np.full(8, 3.5)), 0.0)
 
 
-def test_layer_norm_already_standardized():
+def test_layer_norm_already_standardized(monkeypatch):
+    monkeypatch.setattr(dgme.model, "LAYER_NORM_EPS", 1e-300)
     x = np.array([1.0, -1.0])
-    assert np.allclose(_standardize(x, eps=1e-300), x, atol=1e-9)
+    assert np.allclose(_standardize(x), x, atol=1e-9)
 
 
 def test_layer_norm_output_mean_zero():
@@ -261,11 +262,12 @@ def _separable_toy(n_per_class=30, seed=0):
     return LabeledFeatures(X, y)
 
 
-def test_training_separates_toy_set():
+def test_training_separates_toy_set(monkeypatch):
+    monkeypatch.setattr(dgme.model, "LR_MAX", 0.05)
+    monkeypatch.setattr(dgme.model, "EARLY_STOP_PATIENCE", 12)
     train_set = _separable_toy(seed=1)
     val_set = _separable_toy(seed=2)
-    cfg = TrainConfig(epochs=12, batch_size=16, lr_max=0.05, seed=0,
-                      early_stop_patience=12)
+    cfg = TrainConfig(epochs=12, batch_size=16, seed=0)
     params, log = train(["a", "b"], train_set, val_set, cfg)
 
     from dgme.model import predict
@@ -288,10 +290,11 @@ def test_training_deterministic():
     assert p1.alpha == p2.alpha
 
 
-def test_training_early_stops_on_plateau():
+def test_training_early_stops_on_plateau(monkeypatch):
+    monkeypatch.setattr(dgme.model, "EARLY_STOP_PATIENCE", 2)
     train_set = _separable_toy(seed=5)
     val_set = _separable_toy(seed=6)
-    cfg = TrainConfig(epochs=50, batch_size=16, seed=0, early_stop_patience=2)
+    cfg = TrainConfig(epochs=50, batch_size=16, seed=0)
     _, log = train(["a", "b"], train_set, val_set, cfg)
     assert len(log) < 50
 
@@ -336,11 +339,13 @@ GOLDEN_TRAINING = {
 
 
 @pytest.mark.parametrize("width", sorted(GOLDEN_TRAINING))
-def test_training_matches_golden_log(width):
+def test_training_matches_golden_log(width, monkeypatch):
+    monkeypatch.setattr(dgme.model, "LR_MAX", 0.05)
+    monkeypatch.setattr(dgme.model, "EARLY_STOP_PATIENCE", 6)
     train_set, val_set = _separable_toy(seed=1), _separable_toy(seed=2)
     if width:
         train_set, val_set = _with_backbone(train_set, width, 10), _with_backbone(val_set, width, 11)
-    cfg = TrainConfig(epochs=6, batch_size=16, lr_max=0.05, seed=3, early_stop_patience=6)
+    cfg = TrainConfig(epochs=6, batch_size=16, seed=3)
     params, log = train(["a", "b"], train_set, val_set, cfg)
     keys = ("epoch", "step", "lr", "train_loss", "val_macro_f1", "alpha")
     rows = "\n".join(" ".join(f"{row[k]:.9g}" for k in keys) for row in log)
@@ -358,17 +363,17 @@ def _black_clip():
 def test_stub_embedding_deterministic():
     rng = np.random.default_rng(7)
     seq = FrameSequence(rng.integers(0, 256, size=(4, 32, 32)).astype(np.uint8), "e")
-    a = stub_embedding(seq, seed=3)
-    b = stub_embedding(seq, seed=3)
+    a = StubEmbeddingProvider(seed=3).embed(seq)
+    b = StubEmbeddingProvider(seed=3).embed(seq)
     assert np.array_equal(a, b)
     assert a.shape == (64,)
-    c = stub_embedding(seq, seed=4)
+    c = StubEmbeddingProvider(seed=4).embed(seq)
     assert not np.array_equal(a, c)
 
 
 def test_stub_embedding_black_clip_matches_manual_projection():
     seq = _black_clip()
-    out = stub_embedding(seq, seed=9, dim=16)
+    out = StubEmbeddingProvider(seed=9, dim=16).embed(seq)
     raw = np.zeros(41)
     raw[0] = 1.0  # all intensity mass in histogram bin 0, zero motion energy
     proj = np.random.default_rng(9).normal(0.0, 1.0, size=(16, 41)) / np.sqrt(41)
@@ -381,10 +386,6 @@ def test_stub_provider_interface():
     assert "seed=1" in provider.descriptor
     emb = provider.embed(_black_clip())
     assert emb.shape == (32,)
-    # the projection drawn once per provider is the one drawn per clip
-    rng = np.random.default_rng(7)
-    seq = FrameSequence(rng.integers(0, 256, size=(4, 32, 32)).astype(np.uint8), "e")
-    assert provider.embed(seq).tobytes() == stub_embedding(seq, seed=1, dim=32).tobytes()
 
 
 # ---------------------------------------------------------------------------

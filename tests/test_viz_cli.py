@@ -1,7 +1,10 @@
 """Visualization output and command-line surface tests."""
 
+import argparse
+import ast
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -597,6 +600,23 @@ def test_cli_synth_refuses_oversized_pan_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--size", "8", "size must be >= 16"), ("--frames", "1", "frames must be >= 2"),
+], ids=["size", "frames"])
+def test_cli_synth_refuses_bad_static_corpus_before_writing(tmp_path, capsys,
+                                                            option, value, message):
+    # a static-only corpus skipped the up-front spec check, so it was refused
+    # only after the corpus directory was made
+    out = tmp_path / "corpus"
+    args = ["synth", "--classes", "static", "--per-class", "1", "--out", str(out),
+            "--size", "32", "--frames", "4"]
+    args[args.index(option) + 1] = value
+    rc = main(args)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mag_min, mag_max", [
     ("nan", "4"), ("1", "inf"), ("3", "1"), ("0", "2"), ("-1", "2"),
 ], ids=["nan-min", "inf-max", "min-above-max", "zero-min", "negative-min"])
@@ -614,14 +634,15 @@ def test_cli_synth_refuses_bad_magnitude_range(tmp_path, capsys, mag_min, mag_ma
     assert not out.exists()
 
 
-def test_cli_extract_starts_at_most_one_worker_per_clip(tmp_path, monkeypatch):
-    sizes = []
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """(workers, chunks) of every ``map`` extract runs on its pool, which
+    maps in this process in place of ``multiprocessing.Pool``."""
+    maps = []
 
     class RecordingPool:
-        """Stands in for ``multiprocessing.Pool``; maps in this process."""
-
         def __init__(self, processes):
-            sizes.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -629,16 +650,32 @@ def test_cli_extract_starts_at_most_one_worker_per_clip(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks, chunksize=None):
+            if chunksize is None:  # multiprocessing.Pool.map's default
+                chunksize = math.ceil(len(tasks) / (4 * self.processes))
+            maps.append((self.processes, math.ceil(len(tasks) / chunksize)))
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(dgme.cli.multiprocessing, "Pool", RecordingPool)
+    return maps
+
+
+def test_cli_extract_starts_at_most_one_worker_per_clip(tmp_path, pool_maps):
     args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), ("c1.y8seq", 2, "tilt"))
     assert main(args + ["--jobs", "64"]) == 0
-    assert sizes == [2]
+    assert [workers for workers, _ in pool_maps] == [2]
     pooled = (tmp_path / "f.csv").read_bytes()
     assert main(args + ["--jobs", "1"]) == 0
     assert (tmp_path / "f.csv").read_bytes() == pooled
+
+
+def test_cli_extract_gives_every_worker_clips(tmp_path, pool_maps):
+    # chunks of 8 clips used to cut 15 clips into 2 chunks, so 2 of 4
+    # workers sat idle
+    args = _y8seq_corpus(tmp_path, *((f"c{i}.y8seq", 2, "pan") for i in range(15)))
+    assert main(args + ["--jobs", "4"]) == 0
+    [(workers, chunks)] = pool_maps
+    assert workers == 4 and chunks >= workers
 
 
 @pytest.mark.parametrize("mthr", ["-1", "nan", "inf"])
@@ -817,9 +854,9 @@ def test_cli_extract_loads_scipy_before_the_pool_forks(tmp_path):
 
 def _embed_per_row(clips_dir, clip_ids, seed, dim=dgme.model.EMBED_DIM):
     """Reference for ``cli._embed_clips``: reads and embeds every row, with
-    the projection drawn per clip by ``stub_embedding``."""
-    rows = [dgme.model.stub_embedding(dgme.cli.read_y8seq(Path(clips_dir) / f"{cid}.y8seq"),
-                                      seed=seed, dim=dim) for cid in clip_ids]
+    the projection drawn per clip by a provider of its own."""
+    rows = [dgme.model.StubEmbeddingProvider(seed=seed, dim=dim).embed(
+                dgme.cli.read_y8seq(Path(clips_dir) / f"{cid}.y8seq")) for cid in clip_ids]
     return (np.array(rows).reshape(len(rows), dim),
             dgme.model.StubEmbeddingProvider(seed=seed, dim=dim))
 
@@ -849,3 +886,22 @@ def test_cli_fusion_train_embeds_each_clip_once(mini_corpus, tmp_path, monkeypat
     monkeypatch.setattr(dgme.cli, "_embed_clips", _embed_per_row)
     assert main(args) == 0
     assert (tmp_path / "m.json").read_bytes() == once
+
+
+def test_every_cli_option_is_read_by_its_command():
+    # an option its command never reads, like the removed viz --mthr, is
+    # accepted and silently ignored
+    [commands] = [a for a in dgme.cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    functions = {node.name: node for node in ast.parse(Path(dgme.cli.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    unread = {}
+    for name, parser in commands.choices.items():
+        body = functions[parser.get_default("func").__name__]
+        read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        if dests - read:
+            unread[name] = sorted(dests - read)
+    assert len(commands.choices) == 9
+    assert unread == {}
