@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _out_file(value: str) -> str:
+    """An output file option; a path in a missing directory is refused while
+    the options are parsed, before the command computes anything."""
+    if not Path(value).parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory of {value} does not exist")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dgme", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dgme {dgme.__version__}")
@@ -50,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="compute motion descriptors for a corpus")
     p.add_argument("--ann", required=True, help="annotations.csv of the corpus")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--mthr", type=float, default=0.5)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--frames-per-clip", type=int, default=12)
@@ -61,14 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="fit per-dimension calibration statistics")
     p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("normalize", help="apply calibration statistics to features")
     p.add_argument("--features", required=True)
     p.add_argument("--stats", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("split", help="stratified train/val/test split of annotations")
@@ -83,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--targets", required=True, help="class=count,class=count,...")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_oversample)
 
     p = sub.add_parser("train", help="train a classification head on features")
@@ -95,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clips", default=None, help="corpus dir (needed for fusion embeddings)")
     p.add_argument("--schema", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None)
+    p.add_argument("--out", required=True, type=_out_file)
+    p.add_argument("--log", default=None, type=_out_file)
     p.add_argument("--epochs", type=int, default=12)
     p.add_argument("--batch-size", type=int, default=32)
     p.set_defaults(func=cmd_train)
@@ -109,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None)
     p.add_argument("--clips", default=None)
     p.add_argument("--predictions", default=None, help="score an existing predictions CSV")
-    p.add_argument("--out-metrics", required=True)
-    p.add_argument("--out-confusion", required=True)
-    p.add_argument("--out-predictions", default=None)
+    p.add_argument("--out-metrics", required=True, type=_out_file)
+    p.add_argument("--out-confusion", required=True, type=_out_file)
+    p.add_argument("--out-predictions", default=None, type=_out_file)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--label", default=None, help="rose: aggregate clips with this label")
     p.add_argument("--clip-id", default=None, help="grid: render this clip")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_viz)
 
     return parser

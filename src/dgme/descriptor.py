@@ -93,27 +93,6 @@ def grid_cells(height: int, width: int, grid: int) -> list[tuple[int, int, int, 
     return cells
 
 
-def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
-                   magnitude_threshold: float) -> np.ndarray:
-    """Un-normalized 13-bin histogram for one grid cell.
-
-    Pixels at or above the magnitude threshold add their magnitude to
-    directional bin floor(theta / 30) mod 12 (so 360 wraps to bin 0);
-    pixels below threshold add the threshold value to the static bin.
-    """
-    y0, y1, x0, x1 = cell
-    if not (0 <= y0 < y1 <= polar.height and 0 <= x0 < x1 <= polar.width):
-        raise ValueError(f"cell {cell} outside frame {polar.height}x{polar.width}")
-    m = polar.m[y0:y1, x0:x1].astype(np.float64).ravel()
-    theta = polar.theta[y0:y1, x0:x1].astype(np.float64).ravel()
-    moving = m >= magnitude_threshold
-    idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
-    hist = np.zeros(BINS_PER_CELL, dtype=np.float64)
-    hist[:DIRECTIONAL_BINS] = np.bincount(idx, weights=m[moving], minlength=DIRECTIONAL_BINS)
-    hist[DIRECTIONAL_BINS] = magnitude_threshold * float((~moving).sum())
-    return hist
-
-
 def descriptor_from_polar(fields: Sequence[PolarFlow], magnitude_threshold: float) -> np.ndarray:
     """Aggregate per-pair polar fields into one normalized descriptor.
 
@@ -121,8 +100,8 @@ def descriptor_from_polar(fields: Sequence[PolarFlow], magnitude_threshold: floa
     magnitude-weighted ``bincount`` over cell * 12 + directional bin for
     its moving pixels and one count of static pixels per cell. A row-major
     pass over the frame meets each cell's pixels in that cell's row-major
-    order, so every bin sums the same terms in the same order as
-    ``cell_histogram`` does.
+    order, so every bin sums the same terms in the same order as the
+    per-cell histogram of ``tests/oracles.py`` does.
     """
     if not fields:
         raise DataError("descriptor needs at least one flow field")

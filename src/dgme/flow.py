@@ -11,11 +11,16 @@ Gaussian window), and wrapped in a coarse-to-fine pyramid with
 fixed-point iterations per level.
 
 All internal math is 64-bit; stored fields are 32-bit floats. The
-estimator is a pure function of its inputs. The solve of each fixed-point
-iteration works in place on the fresh warp outputs and preallocated
-buffers, and u and v are upsampled between levels together from one
-index computation; both keep every operation and its order, so the
-result is the same bit for bit as the plain expressions.
+estimator is a pure function of its inputs. Each ``farneback_flow`` call
+allocates one workspace sized for level 0, and every level works in
+leading views of it, so the nine fixed-point iterations allocate nothing
+of a level's size: the warp gathers with ``np.take(..., mode="clip",
+out=...)`` into it, the solve works in place in it, and u and v alternate
+between the level's own pair and a spare pair in it. The workspace lives
+for one call and is never module state. u and v are upsampled between
+levels together from one index computation. All of this keeps every
+operation and its order, so the result is the same bit for bit as the
+plain expressions.
 
 Each frame's pyramid and per-level expansion depend on that frame alone,
 and ``compute_dgme`` passes every interior frame of a clip twice, once as
@@ -130,53 +135,86 @@ def _poly_expand(img: np.ndarray):
     s2 = float((x * x * g).sum())
     s4 = float((x ** 4 * g).sum())
 
-    t0 = correlate1d(img, g, axis=0, mode="mirror")
-    t1 = correlate1d(img, xg, axis=0, mode="mirror")
-    t2 = correlate1d(img, xxg, axis=0, mode="mirror")
-    v1 = correlate1d(t0, g, axis=1, mode="mirror")
-    vx = correlate1d(t0, xg, axis=1, mode="mirror")
-    vxx = correlate1d(t0, xxg, axis=1, mode="mirror")
-    vy = correlate1d(t1, g, axis=1, mode="mirror")
-    vxy = correlate1d(t1, xg, axis=1, mode="mirror")
-    vyy = correlate1d(t2, g, axis=1, mode="mirror")
+    # the nine correlations go straight into a 4-plane scratch and the five
+    # result planes, each result then finished in place
+    t0, t1, t2, v1 = np.empty((4,) + img.shape)
+    a11, a22, a12, bx, by = np.empty((5,) + img.shape)
+    correlate1d(img, g, axis=0, output=t0, mode="mirror")
+    correlate1d(img, xg, axis=0, output=t1, mode="mirror")
+    correlate1d(img, xxg, axis=0, output=t2, mode="mirror")
+    correlate1d(t0, g, axis=1, output=v1, mode="mirror")
+    correlate1d(t0, xg, axis=1, output=bx, mode="mirror")
+    correlate1d(t0, xxg, axis=1, output=a11, mode="mirror")
+    correlate1d(t1, g, axis=1, output=by, mode="mirror")
+    correlate1d(t1, xg, axis=1, output=a12, mode="mirror")
+    correlate1d(t2, g, axis=1, output=a22, mode="mirror")
 
     # normal equations decouple: the only coupled block is (c, axx, ayy)
-    bx = vx / s2
-    by = vy / s2
+    # bx = vx / s2, by = vy / s2
+    bx /= s2
+    by /= s2
+    # a11 = (vxx - s2 * v1) / denom, a22 = (vyy - s2 * v1) / denom
     denom = s4 - s2 * s2
-    a11 = (vxx - s2 * v1) / denom
-    a22 = (vyy - s2 * v1) / denom
-    a12 = 0.5 * (vxy / (s2 * s2))
+    v1 *= s2
+    for a in (a11, a22):
+        a -= v1
+        a /= denom
+    # a12 = 0.5 * (vxy / (s2 * s2))
+    a12 /= s2 * s2
+    a12 *= 0.5
     return a11, a22, a12, bx, by
 
 
-def _window_mean(planes: np.ndarray) -> np.ndarray:
+def _window_mean(planes: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Mean of each (h, w) plane of a (k, h, w) stack over the
     ``WINDOW_SIZE`` px window of kind ``WINDOW_KIND`` (a box) centred on
-    every pixel, written into ``planes``.
+    every pixel, written into ``planes``. The first (column) pass goes
+    into ``rows``, a (k, h, w) float64 scratch that ``_flow_iteration``
+    takes from its workspace; it is allocated when not given.
     Borders reflect without repeating the edge pixel (reflect-101), again
     and again where a plane is narrower than the window."""
     from scipy.ndimage import uniform_filter1d
 
-    rows = uniform_filter1d(planes, WINDOW_SIZE, axis=1, mode="mirror")
+    rows = uniform_filter1d(planes, WINDOW_SIZE, axis=1, output=rows, mode="mirror")
     return uniform_filter1d(rows, WINDOW_SIZE, axis=2, output=planes, mode="mirror")
 
 
-def _flow_iteration(exp1, exp2, u, v, yy, xx):
+# the float64 planes of the workspace that ``farneback_flow`` allocates
+# once per call: the five warped expansion planes (later the window's
+# first pass), the five normal-equation planes, the warp's scratch (whose
+# first two planes take the warp coordinates) and the spare u/v pair
+_WARPED = slice(0, 5)
+_NORMAL = slice(5, 10)
+_WARP_SCRATCH = slice(10, 16)
+_SPARE_UV = slice(16, 18)
+_WORK_PLANES = 18
+
+
+def _flow_iteration(exp1, exp2, u, v, work, index, out):
     """One fixed-point update of the displacement field.
 
     Warps the second image's expansion coefficients to x + d0, forms the
     per-pixel normal equations G*d = h from averaged coefficients, averages
     both sides over the box window (``_window_mean``), and solves the 2x2
-    system. ``yy``, ``xx`` are the level's pixel-coordinate grids.
+    system.
 
-    The solve works in place on the fresh warp outputs, one temporary plane
-    and one (5, h, w) buffer, with the operations and operand order of
-    the plain expressions in the comments, so it rounds the same way.
+    Nothing of the level's size is allocated: every intermediate goes into
+    ``work``, the level's (``_WORK_PLANES``, h, w) view of the per-call
+    workspace laid out as the slices above, and ``index``, its (h, w)
+    int64 plane. The new u and v are written into the pair ``out``, which
+    must not be ``u`` and ``v`` themselves. The solve keeps the operations
+    and operand order of the plain expressions in the comments, so it
+    rounds the same way.
     """
     a11_1, a22_1, a12_1, bx1, by1 = exp1
-    a11, a22, a12, db1, db2 = sample_bilinear_planes(exp2, yy + v, xx + u)
-    tmp = np.empty_like(u)
+    h, w = u.shape
+    warped, planes, scratch = work[_WARPED], work[_NORMAL], work[_WARP_SCRATCH]
+    # the warp coordinates yy + v, xx + u on the level's pixel grid
+    np.add(v, np.arange(h, dtype=np.float64)[:, None], out=scratch[0])
+    np.add(u, np.arange(w, dtype=np.float64), out=scratch[1])
+    a11, a22, a12, db1, db2 = sample_bilinear_planes(
+        exp2, scratch[0], scratch[1], warped, scratch, index)
+    tmp = scratch[-2]  # the warp's term plane, free once the warp is done
 
     # a = 0.5 * (a_1 + a_2)
     for a, a_1 in ((a11, a11_1), (a22, a22_1), (a12, a12_1)):
@@ -193,7 +231,6 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx):
 
     # g11 = a11*a11 + a12*a12, g12 = a12*(a11 + a22), g22 = a22*a22 + a12*a12,
     # h1 = a11*db1 + a12*db2, h2 = a12*db1 + a22*db2
-    planes = np.empty((5,) + u.shape)
     g11, g12, g22, h1, h2 = planes
     np.multiply(a12, a12, out=tmp)
     np.multiply(a11, a11, out=g11)
@@ -207,17 +244,18 @@ def _flow_iteration(exp1, exp2, u, v, yy, xx):
     np.multiply(a12, db1, out=h2)
     h2 += np.multiply(a22, db2, out=tmp)
 
-    _window_mean(planes)
+    # the warped planes are dead from here on and take the window's first pass
+    _window_mean(planes, warped)
 
     # det = g11*g22 - g12*g12 + eps
     # u_new = (g22*h1 - g12*h2) / det, v_new = (g11*h2 - g12*h1) / det
-    det = np.multiply(g11, g22, out=a11)
+    det = np.multiply(g11, g22, out=warped[0])
     det -= np.multiply(g12, g12, out=tmp)
     det += _DET_EPS
-    u_new = np.multiply(g22, h1, out=a22)
+    u_new = np.multiply(g22, h1, out=out[0])
     u_new -= np.multiply(g12, h2, out=tmp)
     u_new /= det
-    v_new = np.multiply(g11, h2, out=a12)
+    v_new = np.multiply(g11, h2, out=out[1])
     v_new -= np.multiply(g12, h1, out=tmp)
     v_new /= det
     return u_new, v_new
@@ -293,6 +331,11 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
     exp1 = _frame_expansions(prev)
     exp2 = _frame_expansions(nxt)
 
+    # one workspace for this call, sized for level 0; every level works in
+    # leading views of it
+    n = prev.size
+    work_buf = np.empty(_WORK_PLANES * n)
+    index_buf = np.empty(n, dtype=np.int64)
     u = v = None
     for level in reversed(range(len(exp1))):
         hh, ww = exp1[level][0].shape
@@ -304,9 +347,15 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
             u, v = resize_bilinear_planes((u, v), hh, ww)
             u *= ww / pw
             v *= hh / ph
-        yy, xx = np.mgrid[0:hh, 0:ww].astype(np.float64)
+        work = work_buf[: _WORK_PLANES * hh * ww].reshape(_WORK_PLANES, hh, ww)
+        index = index_buf[: hh * ww].reshape(hh, ww)
+        # u and v alternate between the level's own pair and the spare
+        # pair, so an iteration never writes the arrays it reads
+        spare = tuple(work[_SPARE_UV])
         for _ in range(ITERATIONS):
-            u, v = _flow_iteration(exp1[level], exp2[level], u, v, yy, xx)
+            new = _flow_iteration(exp1[level], exp2[level], u, v, work, index, spare)
+            spare = (u, v)
+            u, v = new
     return FlowField(u, v)
 
 

@@ -175,12 +175,13 @@ def backward(backbone: np.ndarray, dgme: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, floor: float) -> float:
-    """Cosine annealing from lr_max (step 0) to floor (step total_steps)."""
+def cosine_lr(step: int, total_steps: int) -> float:
+    """Cosine annealing from ``LR_MAX`` (step 0) to ``COSINE_FLOOR`` (step
+    total_steps)."""
     if total_steps <= 0:
-        return lr_max
+        return LR_MAX
     t = min(max(step, 0), total_steps)
-    return floor + (lr_max - floor) * 0.5 * (1.0 + np.cos(np.pi * t / total_steps))
+    return COSINE_FLOOR + (LR_MAX - COSINE_FLOOR) * 0.5 * (1.0 + np.cos(np.pi * t / total_steps))
 
 
 def init_params(class_names, backbone_dim: int, descriptor_dim: int,
@@ -264,7 +265,7 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
         lr = LR_MAX
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            lr = cosine_lr(global_step, total_steps, LR_MAX, COSINE_FLOOR)
+            lr = cosine_lr(global_step, total_steps)
             loss, grads = backward(
                 train_set.backbone[idx], train_set.dgme[idx], train_set.labels[idx], params
             )

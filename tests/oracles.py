@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from dgme.descriptor import descriptor_from_polar
+from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DIRECTIONAL_BINS, descriptor_from_polar
 from dgme.errors import DataError
-from dgme.flow import FlowField, cart2polar
+from dgme.flow import FlowField, PolarFlow, cart2polar
 
 
 def block_match_flow(prev: np.ndarray, nxt: np.ndarray,
@@ -128,3 +128,25 @@ def box_mean_reflect101(planes: np.ndarray, size: int) -> np.ndarray:
             cols = [reflect(x + dx, w) for dx in range(-half, half + 1)]
             out[:, y, x] = planes[:, rows][:, :, cols].sum(axis=(1, 2)) / (size * size)
     return out
+
+
+def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],
+                   magnitude_threshold: float) -> np.ndarray:
+    """Un-normalized 13-bin histogram for one grid cell, read cell by cell
+    (the reference the one-pass ``descriptor_from_polar`` must match).
+
+    Pixels at or above the magnitude threshold add their magnitude to
+    directional bin floor(theta / 30) mod 12 (so 360 wraps to bin 0);
+    pixels below threshold add the threshold value to the static bin.
+    """
+    y0, y1, x0, x1 = cell
+    if not (0 <= y0 < y1 <= polar.height and 0 <= x0 < x1 <= polar.width):
+        raise ValueError(f"cell {cell} outside frame {polar.height}x{polar.width}")
+    m = polar.m[y0:y1, x0:x1].astype(np.float64).ravel()
+    theta = polar.theta[y0:y1, x0:x1].astype(np.float64).ravel()
+    moving = m >= magnitude_threshold
+    idx = (theta[moving] // BIN_WIDTH).astype(np.int64) % DIRECTIONAL_BINS
+    hist = np.zeros(BINS_PER_CELL, dtype=np.float64)
+    hist[:DIRECTIONAL_BINS] = np.bincount(idx, weights=m[moving], minlength=DIRECTIONAL_BINS)
+    hist[DIRECTIONAL_BINS] = magnitude_threshold * float((~moving).sum())
+    return hist

@@ -17,7 +17,7 @@ import pytest
 from conftest import blurred_noise
 from dgme import synth
 from dgme.cli import main as cli_main
-from dgme.descriptor import cell_histogram, compute_dgme, descriptor_from_polar
+from dgme.descriptor import compute_dgme, descriptor_from_polar
 from dgme.evaluation import (
     AnnotatedSet,
     ClassSchema,
@@ -26,7 +26,7 @@ from dgme.evaluation import (
     stratified_split,
 )
 from dgme.flow import PolarFlow, farneback_flow
-from oracles import block_match_descriptor
+from oracles import block_match_descriptor, cell_histogram
 from test_model import gradient_check_instances
 
 CFG = 0.5  # the magnitude threshold, extract --mthr's default

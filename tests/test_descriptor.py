@@ -9,7 +9,6 @@ from dgme.descriptor import (
     DESCRIPTOR_LENGTH,
     NormStats,
     apply_zscore,
-    cell_histogram,
     compute_dgme,
     config_hash,
     descriptor_from_polar,
@@ -22,7 +21,7 @@ from dgme.descriptor import (
 )
 from dgme.errors import DataError, NumericError
 from dgme.flow import PolarFlow
-from oracles import block_match_descriptor
+from oracles import block_match_descriptor, cell_histogram
 
 CFG = 0.5  # the magnitude threshold, extract --mthr's default
 

@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blurred_noise
@@ -261,6 +262,67 @@ def test_window_mean_matches_per_pixel_reflect101_box(h, w, n_planes, seed):
     out = flow._window_mean(planes)
     assert out is planes
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape1=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    shape2=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    n_planes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+    span=st.sampled_from([0.5, 3.0, 1e3, 1e9]),
+)
+def test_warp_into_reused_workspace_matches_allocating_warp(shape1, shape2, n_planes, seed, span):
+    # as farneback_flow's levels do, two warps of different shapes write
+    # into leading views of one larger buffer; the second one meets what
+    # the first left there, and the buffer starts out as NaN
+    assume(shape1 != shape2)
+    rng = np.random.default_rng(seed)
+    buf = np.full((n_planes + 6) * 36, np.nan)
+    index_buf = np.full(36, -(2**62), dtype=np.int64)
+    for h, w in (shape1, shape2):
+        planes = [rng.normal(size=(h, w)) * 10.0 ** rng.integers(-3, 4) for _ in range(n_planes)]
+        ys = rng.uniform(-span, h - 1 + span, size=(h, w))
+        xs = rng.uniform(-span, w - 1 + span, size=(h, w))
+        views = buf[: (n_planes + 6) * h * w].reshape(n_planes + 6, h, w)
+        out, work = views[:n_planes], views[n_planes:]
+        # the coordinates sit in the scratch's first two planes, where the
+        # flow writes them
+        work[0], work[1] = ys, xs
+        index = index_buf[: h * w].reshape(h, w)
+        reused = sample_bilinear_planes(planes, work[0], work[1], out, work, index)
+        assert reused is out
+        allocating = sample_bilinear_planes(planes, ys, xs)
+        for plane, warped, fresh in zip(planes, reused, allocating):
+            reference = sample_bilinear_2d(plane, ys, xs)
+            assert warped.tobytes() == fresh.tobytes() == reference.tobytes()
+
+
+def test_flow_iteration_allocates_under_four_planes(monkeypatch):
+    # every intermediate of an iteration lives in farneback_flow's per-call
+    # workspace; without it an iteration allocated about 24 planes
+    clip = synth.make_clip(synth.SynthSpec("zoom", frames=2, size=96, motion_magnitude=2.0,
+                                           direction_sign=1, texture_seed=3))
+    prev, nxt = clip.frames
+    farneback_flow(prev, nxt)  # warms the memo, the imports and numpy's caches
+    iterate = flow._flow_iteration
+    planes = []
+
+    def measured(*args):
+        u = args[2]
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = iterate(*args)
+        planes.append((tracemalloc.get_traced_memory()[1] - base) / u.nbytes)
+        return result
+
+    monkeypatch.setattr(flow, "_flow_iteration", measured)
+    tracemalloc.start()
+    try:
+        farneback_flow(prev, nxt)
+    finally:
+        tracemalloc.stop()
+    assert len(planes) == flow.PYRAMID_LEVELS * flow.ITERATIONS
+    assert max(planes) < 4, planes
 
 
 def test_shared_index_warp_refuses_mismatched_planes():

@@ -246,9 +246,9 @@ def test_bias_gradient_sums_to_zero():
 # ---------------------------------------------------------------------------
 
 def test_cosine_schedule_endpoints():
-    assert cosine_lr(0, 100, 1e-3, 1e-5) == pytest.approx(1e-3, rel=1e-12)
-    assert cosine_lr(100, 100, 1e-3, 1e-5) == pytest.approx(1e-5, rel=1e-12)
-    mid = cosine_lr(50, 100, 1e-3, 1e-5)
+    assert cosine_lr(0, 100) == pytest.approx(1e-3, rel=1e-12)
+    assert cosine_lr(100, 100) == pytest.approx(1e-5, rel=1e-12)
+    mid = cosine_lr(50, 100)
     assert mid == pytest.approx((1e-3 + 1e-5) / 2, rel=1e-9)
 
 

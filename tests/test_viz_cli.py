@@ -688,6 +688,35 @@ def test_cli_extract_refuses_bad_threshold(tmp_path, capsys, mthr):
         "error: magnitude_threshold must be finite and >= 0"]
 
 
+# (command, argv before --out) of each command whose --out is a file
+_OUT_FILE_COMMANDS = [
+    ("extract", lambda root: ["extract", "--ann", str(root / "corpus" / "annotations.csv"),
+                              "--interval", "1", "--frames-per-clip", "4",
+                              "--target-size", "64"]),
+    ("stats", lambda root: ["stats", "--features", str(root / "features.csv")]),
+    ("viz", lambda root: ["viz", "rose", "--features", str(root / "features.csv"),
+                          "--label", "pan"]),
+]
+
+
+@pytest.mark.parametrize("command, argv", _OUT_FILE_COMMANDS, ids=[c for c, _ in _OUT_FILE_COMMANDS])
+def test_cli_out_in_missing_directory_is_refused(mini_corpus, tmp_path, capsys, monkeypatch,
+                                                 command, argv):
+    # each used to do all its work, then die with a FileNotFoundError
+    # traceback; extract refuses before any flow runs
+    out = tmp_path / "missing" / "out"
+    compute = dgme.descriptor.compute_dgme
+    computed = []
+    monkeypatch.setattr(dgme.descriptor, "compute_dgme",
+                        lambda *a: computed.append(1) or compute(*a))
+    rc = main(argv(mini_corpus) + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: argument --out: directory of {out} does not exist"]
+    assert computed == []
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_extract_refuses_jobs_below_one(tmp_path, capsys, jobs):
     # both used to run serially and exit 0
