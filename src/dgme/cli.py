@@ -31,10 +31,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_file(value: str) -> str:
-    """An output file option; a path in a missing directory is refused while
-    the options are parsed, before the command computes anything."""
+    """An output file option; a path that names a directory or lies in a
+    missing one is refused while the options are parsed, before the command
+    computes anything."""
+    if Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"{value} is a directory")
     if not Path(value).parent.is_dir():
         raise argparse.ArgumentTypeError(f"directory of {value} does not exist")
+    return value
+
+
+def _out_dir(value: str) -> str:
+    """An output directory option, made by its command; a path that names or
+    lies under an existing file is refused while the options are parsed."""
+    path = Path(value)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} is not a directory")
     return value
 
 
@@ -49,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--domain", choices=("modern", "historical"), default="modern")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--size", type=int, default=128)
     p.add_argument("--frames", type=int, default=12)
     p.add_argument("--mag-min", type=float, default=1.0)
@@ -83,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ann", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_out_dir)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("oversample", help="oversample training annotations per class")
@@ -240,8 +253,50 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _read_features(path, stats_path=None, model_meta=None):
+    """Read the features table at ``path``, z-score it with the statistics at
+    ``stats_path``, and refuse what may not be combined with it:
+
+    - statistics are fitted on, and applied to, raw tables only;
+    - a model trained calibrated takes a calibrated table or ``stats_path``,
+      and a model trained raw takes raw features of its own domain only;
+    - features, statistics and model carry one config hash; a missing hash
+      matches only another missing one.
+
+    Returns (meta, clip ids, labels, matrix, calibrated).
+    """
+    meta, clip_ids, labels, matrix = dsc.read_features_csv(path)
+    calibrated = meta.get("calibrated") == "true"
+    hashes = {}
+    if stats_path is not None:
+        if calibrated:
+            raise DataError(f"features {path} are already calibrated")
+        stats, _ = dsc.read_stats_json(stats_path)
+        hashes["stats"], calibrated = stats.config_hash, True
+    if model_meta is not None:
+        if model_meta.get("calibrated") and not calibrated:
+            raise DataError("model was trained on calibrated features; pass --stats "
+                            "with the statistics used at training time")
+        if calibrated and not model_meta.get("calibrated"):
+            raise DataError("model was trained uncalibrated; evaluate on raw features")
+        domain, train_domain = meta.get("domain"), model_meta.get("train_domain")
+        if domain and train_domain and domain != train_domain and not calibrated:
+            raise DataError(f"cross-domain evaluation ({train_domain} -> {domain}) "
+                            "requires z-score calibration; train with --stats")
+        hashes["model"] = model_meta.get("config_hash", "")
+    for source, other in hashes.items():
+        if other != meta.get("config_hash", ""):
+            raise DataError(f"config hash mismatch: features "
+                            f"{meta.get('config_hash', '')!r} vs {source} {other!r}")
+    if stats_path is not None:
+        matrix = dsc.apply_zscore(matrix, stats)
+    return meta, clip_ids, labels, matrix, calibrated
+
+
 def cmd_stats(args) -> int:
-    meta, _, _, matrix = dsc.read_features_csv(args.features)
+    meta, _, _, matrix, calibrated = _read_features(args.features)
+    if calibrated:
+        raise DataError(f"features {args.features} are already calibrated")
     cfg_hash = meta.get("config_hash", "")
     stats = dsc.fit_stats(matrix, cfg_hash)
     dsc.write_stats_json(args.out, stats, _out_meta(args.seed, cfg_hash, source=meta))
@@ -249,26 +304,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _calibrate(features_path, meta: dict, matrix: np.ndarray, stats_path) -> np.ndarray:
-    """Z-score a features table read from ``features_path`` with the
-    statistics at ``stats_path``, refusing calibrated or mismatched tables."""
-    if meta.get("calibrated") == "true":
-        raise DataError(f"features {features_path} are already calibrated")
-    stats, _ = dsc.read_stats_json(stats_path)
-    if meta.get("config_hash", "") != stats.config_hash:
-        raise DataError(
-            f"config hash mismatch: features {meta.get('config_hash', '')} "
-            f"vs stats {stats.config_hash}"
-        )
-    return dsc.apply_zscore(matrix, stats)
-
-
 def cmd_normalize(args) -> int:
-    meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
-    calibrated = _calibrate(args.features, meta, matrix, args.stats)
+    meta, clip_ids, labels, matrix, _ = _read_features(args.features, args.stats)
     out_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash", ""),
                          source=meta, calibrated="true")
-    dsc.write_features_csv(args.out, clip_ids, labels, calibrated, out_meta)
+    dsc.write_features_csv(args.out, clip_ids, labels, matrix, out_meta)
     print(f"calibrated {len(clip_ids)} rows -> {args.out}")
     return 0
 
@@ -319,16 +359,15 @@ def cmd_oversample(args) -> int:
     return 0
 
 
-def _join_split(split_path, schema, features_path, clip_ids, matrix):
-    """Rows of a features table for a split's clips: (ids, X, y indices)."""
+def _join_split(split_path, split, features_path, clip_ids, matrix):
+    """Rows of a features table for the annotated ``split``: (ids, X, y indices)."""
     index = {cid: i for i, cid in enumerate(clip_ids)}
-    _, annotated = _load_annotated(split_path, schema)
     ids, ys = [], []
-    for cid, label in annotated.entries:
+    for cid, label in split.entries:
         if cid not in index:
             raise DataError(f"clip {cid} from {split_path} missing in features {features_path}")
         ids.append(cid)
-        ys.append(schema.index(label))
+        ys.append(split.schema.index(label))
     return ids, matrix[[index[c] for c in ids]], np.array(ys, dtype=np.int64)
 
 
@@ -358,14 +397,10 @@ def cmd_train(args) -> int:
     if mode == "fusion" and args.clips is None:
         raise UsageError("--mode fusion requires --clips for backbone embeddings")
 
-    meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
-    calibrated = meta.get("calibrated") == "true" or args.stats is not None
-    if args.stats is not None:
-        matrix = _calibrate(args.features, meta, matrix, args.stats)
-    train_ids, x_train, y_train = _join_split(args.train_split, schema, args.features,
-                                              clip_ids, matrix)
-    val_ids, x_val, y_val = _join_split(args.val_split, schema, args.features,
-                                        clip_ids, matrix)
+    meta, clip_ids, _, matrix, calibrated = _read_features(args.features, args.stats)
+    (train_ids, x_train, y_train), (val_ids, x_val, y_val) = (
+        _join_split(path, _load_annotated(path, schema)[1], args.features, clip_ids, matrix)
+        for path in (args.train_split, args.val_split))
 
     provider = None
     xb_train = xb_val = None
@@ -416,33 +451,8 @@ def cmd_eval(args) -> int:
                 f"model classes {params.class_names} do not match the classes "
                 f"{list(schema.classes)} of schema {schema.name}"
             )
-        feat_meta, clip_ids, _, matrix = dsc.read_features_csv(args.features)
-        calibrated = args.stats is not None or feat_meta.get("calibrated") == "true"
-        if model_meta.get("calibrated") and not calibrated:
-            raise DataError(
-                "model was trained on calibrated features; pass --stats "
-                "with the statistics used at training time"
-            )
-        if calibrated and not model_meta.get("calibrated"):
-            raise DataError("model was trained uncalibrated; evaluate on raw features")
-        feat_domain = feat_meta.get("domain")
-        train_domain = model_meta.get("train_domain")
-        if (feat_domain and train_domain and feat_domain != train_domain
-                and not model_meta.get("calibrated")):
-            raise DataError(
-                f"cross-domain evaluation ({train_domain} -> {feat_domain}) "
-                "requires z-score calibration; train with --stats"
-            )
-        if model_meta.get("config_hash") and feat_meta.get("config_hash") \
-                and model_meta["config_hash"] != feat_meta["config_hash"]:
-            raise DataError(
-                f"feature config hash {feat_meta['config_hash']} does not match "
-                f"the hash the model was trained with ({model_meta['config_hash']})"
-            )
-
-        if args.stats is not None:
-            matrix = _calibrate(args.features, feat_meta, matrix, args.stats)
-        ids, X, y = _join_split(args.split, schema, args.features, clip_ids, matrix)
+        _, clip_ids, _, matrix, _ = _read_features(args.features, args.stats, model_meta)
+        ids, X, y = _join_split(args.split, truth, args.features, clip_ids, matrix)
         backbone = None
         if model_meta.get("mode") == "fusion":
             if args.clips is None:

@@ -34,7 +34,7 @@ import numpy as np
 from dgme._meta import write_table
 from dgme._resample import resize_bilinear, sample_bilinear
 from dgme.errors import DataError
-from dgme.videoio import FrameSequence, write_y8seq
+from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, write_y8seq
 
 CLASSES = ("static", "tilt", "pan", "zoom", "track")
 
@@ -63,6 +63,9 @@ class SynthSpec:
             raise ValueError("frames must be >= 2")
         if self.size < 16:
             raise ValueError("size must be >= 16")
+        if self.size ** 2 > MAX_FRAME_PIXELS:
+            raise ValueError(f"a {self.size}x{self.size} frame holds more than "
+                             f"{MAX_FRAME_PIXELS} pixels")
         if self.class_label != "static" and self.motion_magnitude <= 0:
             raise ValueError("motion_magnitude must be positive for moving classes")
         if self.direction_sign not in (-1, 1):

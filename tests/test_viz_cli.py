@@ -447,6 +447,29 @@ def _seed_in_features_comment(tmp_path):
             "--out", str(tmp_path / "n.csv")]
 
 
+def _with_stats(tmp_path, args, config_hash="h"):
+    """``args`` with ``--stats`` of unit statistics for two features."""
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"config_hash": config_hash, "count": 2, "mean": [0.0, 0.0], "std": [1.0, 1.0]}))
+    return args + ["--stats", str(tmp_path / "s.json")]
+
+
+def _on_calibrated_table(tmp_path, *argv):
+    """``argv`` with ``--features`` of a two-row table marked calibrated."""
+    _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
+    path = tmp_path / "features.csv"
+    path.write_text(path.read_text().replace("seed=0", "seed=0 calibrated=true"))
+    return [*argv, "--features", str(path)]
+
+
+def _features_without_hash(tmp_path):
+    """``_eval_model`` on a features table whose config hash is removed."""
+    args = _eval_model(tmp_path)
+    path = tmp_path / "f.csv"
+    path.write_text(path.read_text().replace(" config_hash=h", ""))
+    return args
+
+
 def _ragged_annotations(tmp_path):
     (tmp_path / "a.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,pan,extra\n")
     return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", "modern4",
@@ -495,6 +518,18 @@ def _schema_file(tmp_path, text):
     (lambda t: _model_field(t, "class_names", ["zoom", "pan", "tilt", "static"]),
      "model classes ['zoom', 'pan', 'tilt', 'static'] do not match the classes "
      "['static', 'tilt', 'pan', 'zoom'] of schema modern4"),
+    (lambda t: _with_stats(t, _on_calibrated_table(t, "normalize", "--out", str(t / "n.csv")),
+                           ""), "features.csv are already calibrated"),
+    (lambda t: _with_stats(t, _on_calibrated_table(
+        t, "train", "--train", str(t / "x.csv"), "--val", str(t / "x.csv"),
+        "--schema", "modern4", "--out", str(t / "m.json")), ""),
+     "features.csv are already calibrated"),
+    (lambda t: _model_field(t, "calibrated", True), "model was trained on calibrated features"),
+    (lambda t: _with_stats(t, _eval_model(t)), "model was trained uncalibrated"),
+    (lambda t: _model_field(t, "config_hash", "g"), "config hash"),
+    (_features_without_hash, "config hash mismatch: features '' vs model 'h'"),
+    (lambda t: _on_calibrated_table(t, "stats", "--out", str(t / "s.json")),
+     "features.csv are already calibrated"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -503,7 +538,10 @@ def _schema_file(tmp_path, text):
         "schema-without-classes", "malformed-schema", "schema-name-with-space",
         "null-embed-seed", "negative-embed-dim",
         "string-model-seed", "null-model-seed", "string-features-seed",
-        "model-classes-not-schema-classes"])
+        "model-classes-not-schema-classes",
+        "normalize-calibrated-table", "train-stats-on-calibrated-table",
+        "calibrated-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
+        "model-hash-without-features-hash", "stats-of-calibrated-table"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
@@ -715,6 +753,66 @@ def test_cli_out_in_missing_directory_is_refused(mini_corpus, tmp_path, capsys, 
         f"error: argument --out: directory of {out} does not exist"]
     assert computed == []
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, argv", _OUT_FILE_COMMANDS, ids=[c for c, _ in _OUT_FILE_COMMANDS])
+def test_cli_out_at_existing_directory_is_refused(mini_corpus, tmp_path, capsys, monkeypatch,
+                                                  command, argv):
+    # each used to do all its work, then die with an IsADirectoryError
+    # traceback
+    out = tmp_path / "taken"
+    out.mkdir()
+    compute = dgme.descriptor.compute_dgme
+    computed = []
+    monkeypatch.setattr(dgme.descriptor, "compute_dgme",
+                        lambda *a: computed.append(1) or compute(*a))
+    rc = main(argv(mini_corpus) + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: argument --out: {out} is a directory"]
+    assert computed == []
+    assert list(out.iterdir()) == []
+
+
+# (command, output directory option, argv before it) of each command that
+# makes its output directory
+_OUT_DIR_COMMANDS = [
+    ("synth", "--out", lambda root: ["synth", "--classes", "static", "--per-class", "1",
+                                     "--size", "16", "--frames", "2"]),
+    ("split", "--out-dir", lambda root: ["split", "--ann",
+                                         str(root / "corpus" / "annotations.csv"),
+                                         "--schema", "modern4"]),
+]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command, option, argv", _OUT_DIR_COMMANDS,
+                         ids=[c for c, _, _ in _OUT_DIR_COMMANDS])
+def test_cli_out_dir_at_existing_file_is_refused(mini_corpus, tmp_path, capsys,
+                                                 command, option, argv, under):
+    # each used to die with a FileExistsError or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    rc = main(argv(mini_corpus) + [option, str(taken / "sub" if under else taken)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: argument {option}: {taken} is not a directory"]
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+
+def test_cli_synth_refuses_frames_over_the_pixel_limit_before_writing(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a 4097 px frame is one pixel row over extract's limit; sizes like
+    # 100000 used to make the directory, then ask numpy for a 74.5 GiB canvas
+    rendered = []
+    monkeypatch.setattr(synth, "make_clip", lambda spec: rendered.append(spec) or 1 / 0)
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--classes", "static", "--per-class", "1", "--out", str(out),
+               "--size", "4097", "--frames", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: a 4097x4097 frame holds more than {dgme.videoio.MAX_FRAME_PIXELS} pixels"]
+    assert rendered == [] and not out.exists()
+    assert synth.SynthSpec("static", size=4096).size == 4096
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
