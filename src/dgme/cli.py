@@ -20,7 +20,7 @@ import dgme
 from dgme import descriptor as dsc
 from dgme import evaluation as ev
 from dgme import model as mdl
-from dgme import synth, viz
+from dgme import flow, synth, viz
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
@@ -239,7 +239,7 @@ def cmd_extract(args) -> int:
     else:
         # flow imports scipy lazily; load it before the fork so the workers
         # share its pages instead of each importing its own copy
-        import scipy.ndimage  # noqa: F401
+        flow.preload_scipy()
 
         # map's default chunk size, ceil(len(tasks) / (4 * workers)), cuts at
         # least one chunk per worker; results come back in task order
@@ -261,9 +261,13 @@ def _read_features(path, stats_path=None, model_meta=None):
     - a model trained calibrated takes a calibrated table or ``stats_path``,
       and a model trained raw takes raw features of its own domain only;
     - features, statistics and model carry one config hash; a missing hash
+      matches only another missing one;
+    - a model takes features calibrated with the statistics it was trained
+      with: their ``dsc.stats_digest`` is the model's, and a missing digest
       matches only another missing one.
 
-    Returns (meta, clip ids, labels, matrix, calibrated).
+    Returns (meta, clip ids, labels, matrix, calibrated); with ``stats_path``,
+    meta carries the statistics' digest as ``stats_digest``.
     """
     meta, clip_ids, labels, matrix = dsc.read_features_csv(path)
     calibrated = meta.get("calibrated") == "true"
@@ -273,6 +277,7 @@ def _read_features(path, stats_path=None, model_meta=None):
             raise DataError(f"features {path} are already calibrated")
         stats, _ = dsc.read_stats_json(stats_path)
         hashes["stats"], calibrated = stats.config_hash, True
+        meta["stats_digest"] = dsc.stats_digest(stats)
     if model_meta is not None:
         if model_meta.get("calibrated") and not calibrated:
             raise DataError("model was trained on calibrated features; pass --stats "
@@ -288,6 +293,10 @@ def _read_features(path, stats_path=None, model_meta=None):
         if other != meta.get("config_hash", ""):
             raise DataError(f"config hash mismatch: features "
                             f"{meta.get('config_hash', '')!r} vs {source} {other!r}")
+    if model_meta is not None and meta.get("stats_digest") != model_meta.get("stats_digest"):
+        raise DataError(f"statistics mismatch: features calibrated with "
+                        f"{meta.get('stats_digest')!r} vs model trained with "
+                        f"{model_meta.get('stats_digest')!r}")
     if stats_path is not None:
         matrix = dsc.apply_zscore(matrix, stats)
     return meta, clip_ids, labels, matrix, calibrated
@@ -307,7 +316,7 @@ def cmd_stats(args) -> int:
 def cmd_normalize(args) -> int:
     meta, clip_ids, labels, matrix, _ = _read_features(args.features, args.stats)
     out_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash", ""),
-                         source=meta, calibrated="true")
+                         source=meta, calibrated="true", stats_digest=meta["stats_digest"])
     dsc.write_features_csv(args.out, clip_ids, labels, matrix, out_meta)
     print(f"calibrated {len(clip_ids)} rows -> {args.out}")
     return 0
@@ -419,7 +428,7 @@ def cmd_train(args) -> int:
             "mode": mode,
             "schema": schema.name,
             "calibrated": calibrated,
-            "stats_config_hash": cfg_hash if args.stats else None,
+            "stats_digest": meta.get("stats_digest"),
             "train_domain": meta.get("domain"),
             "embedding": provider.descriptor if provider else None,
             "embed_seed": args.seed if provider else None,

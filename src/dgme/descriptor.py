@@ -78,6 +78,14 @@ def config_hash(magnitude_threshold: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def stats_digest(stats: NormStats) -> str:
+    """Stable short hash of the statistics' mean and std (their float64
+    bytes), which calibrated tables and models record to name the
+    statistics that calibrated them."""
+    payload = stats.mean.astype("<f8").tobytes() + stats.std.astype("<f8").tobytes()
+    return hashlib.sha256(payload).hexdigest()[:12]
+
+
 def grid_cells(height: int, width: int, grid: int) -> list[tuple[int, int, int, int]]:
     """Row-major (y0, y1, x0, x1) cell bounds; the last row/column of
     cells absorbs the division remainder."""

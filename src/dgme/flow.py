@@ -33,8 +33,15 @@ whatever was called before it. The cached arrays are read-only, so an
 in-place write into them by mistake raises an error, and the memo holds
 at most one frame's expansions (about 2.6 MB at 224 px).
 
+Identical frames, such as the repeats that degraded clips use for
+dropped frames, get the all-zero field at once. The full solve returns the
+same bytes there (every value +0.0): the warp by zero displacement is
+exact and leaves a zero right-hand side.
+
 ``scipy.ndimage`` is imported inside the functions that filter, so a
-command that computes no flow never loads it.
+command that computes no flow never loads it. This is the only module of
+the package that imports scipy; ``preload_scipy`` imports it ahead of a
+fork.
 """
 
 from __future__ import annotations
@@ -97,6 +104,12 @@ class PolarFlow:
     @property
     def width(self) -> int:
         return self.m.shape[1]
+
+
+def preload_scipy() -> None:
+    """Import ``scipy.ndimage`` now instead of at the first filter, so that
+    worker processes forked after this call share its pages."""
+    import scipy.ndimage  # noqa: F401
 
 
 def _gaussian_kernel(half: int, sigma: float) -> np.ndarray:
@@ -314,7 +327,8 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
     """Dense displacement field from ``prev`` to ``nxt``.
 
     Deterministic given its inputs. Uniform (gradient-free) inputs yield
-    exactly zero flow.
+    exactly zero flow. Identical frames yield the all-+0.0 field without
+    expansion or iteration; the full solve gives the same bytes.
     """
     prev = np.asarray(prev)
     nxt = np.asarray(nxt)
@@ -326,6 +340,10 @@ def farneback_flow(prev: np.ndarray, nxt: np.ndarray) -> FlowField:
         raise DataError(
             f"frame {prev.shape} smaller than polynomial kernel support ({POLY_N})"
         )
+
+    if np.array_equal(prev, nxt):
+        # the full solve returns this same all-+0.0 field, so skip it
+        return FlowField(np.zeros(prev.shape), np.zeros(prev.shape))
 
     # prev first: in a clip it is the frame the memo holds from the last pair
     exp1 = _frame_expansions(prev)

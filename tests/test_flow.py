@@ -375,6 +375,33 @@ def test_memo_hit_equals_cold_call_and_expands_each_frame_once(monkeypatch):
     assert len(calls) == len(frames)
 
 
+def test_repeated_frames_skip_the_solve_with_the_same_bytes(monkeypatch):
+    # a degraded clip realizes its frame drops as repeats of the last frame
+    clip = synth.degrade_clip(
+        synth.make_clip(synth.SynthSpec("zoom", frames=8, size=48, texture_seed=4)),
+        synth.DegradeSpec(noise_sigma=4.0, blur_sigma=0.9, contrast_scale=0.7,
+                          flicker_amp=5.0, drop_prob=0.5, rng_seed=3))
+    pairs = list(zip(clip.frames[:-1], clip.frames[1:]))
+    repeated = [np.array_equal(prev, nxt) for prev, nxt in pairs]
+    assert any(repeated) and not all(repeated)
+
+    iterations = []
+    iterate = flow._flow_iteration
+    monkeypatch.setattr(flow, "_flow_iteration",
+                        lambda *args: iterations.append(1) or iterate(*args))
+    fast = []
+    for (prev, nxt), repeat in zip(pairs, repeated):
+        iterations.clear()
+        fast.append(farneback_flow(prev, nxt))
+        assert (len(iterations) == 0) == repeat
+
+    monkeypatch.setattr(flow.np, "array_equal", lambda a, b: False)
+    for (prev, nxt), field in zip(pairs, fast):
+        full = _cold_flow(prev, nxt)
+        assert field.u.tobytes() == full.u.tobytes()
+        assert field.v.tobytes() == full.v.tobytes()
+
+
 def test_farneback_size_mismatch():
     with pytest.raises(DataError, match="mismatch"):
         farneback_flow(np.zeros((8, 8), np.uint8), np.zeros((8, 9), np.uint8))

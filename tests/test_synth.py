@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from dgme import synth
 from dgme.errors import DataError
@@ -196,6 +197,29 @@ def test_make_corpus_deterministic(tmp_path):
         synth.make_corpus(tmp_path / name, ["pan", "zoom"], 3, "historical",
                           seed=9, size=64, frames=4)
     assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+
+
+def test_historical_corpus_bytes_pinned(tmp_path):
+    # recorded when degradation blurred with scipy.ndimage.gaussian_filter;
+    # the numpy port must give the same bytes
+    synth.make_corpus(tmp_path / "small", list(synth.CLASSES), 2, "historical",
+                      seed=9, size=64, frames=4)
+    assert _tree_digest(tmp_path / "small") == (
+        "f861be22300b616433816362ba10ef497ed85bd9381a709620dd81a19421f241")
+    synth.make_corpus(tmp_path / "wide", ["zoom"], 1, "historical", seed=1, size=256, frames=3)
+    assert _tree_digest(tmp_path / "wide") == (
+        "5cbb371e96a7bac3c189adbb186b3d2828cc374e55fd3e0293c27b4288e83cc9")
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 3), (7, 9), (40, 40), (256, 256)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("sigma", [1e-16, 0.4, 0.8, 1.2, 2.7])
+def test_gaussian_blur_matches_scipy_bit_for_bit(shape, sigma):
+    frames = np.random.default_rng(sum(shape)).random((2,) + shape) * 255.0
+    theirs = [gaussian_filter(frame, sigma=sigma, mode="mirror") for frame in frames]
+    synth._gaussian_blur(frames, sigma)
+    for ours, their in zip(frames, theirs):
+        assert ours.tobytes() == their.tobytes()
 
 
 def test_make_corpus_historical_contains_duplicate_frames(tmp_path):

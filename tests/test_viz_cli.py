@@ -332,7 +332,7 @@ def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
         corpus / "annotations.csv": f"# dgme-corpus version={v} seed=5 domain=modern",
         features: f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 domain=modern",
         tmp_path / "cal.csv": f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 "
-                              "domain=modern calibrated=true",
+                              "domain=modern calibrated=true stats_digest=2416f100f9f9",
         splits / "train.csv": f"# dgme-annotations version={v} seed=5 schema=modern4 "
                               "domain=modern",
         tmp_path / "cm.csv": f"# dgme-confusion version={v} seed=5 schema=modern4",
@@ -384,9 +384,16 @@ def _pgm_dir_corpus(tmp_path, frame):
             "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
 
 
+def _unit_mean_digest(std):
+    """``stats_digest`` of the two-feature statistics ``_eval_model`` writes."""
+    return dgme.descriptor.stats_digest(
+        dgme.descriptor.NormStats([0.0, 0.0], [float(std), 1.0], 2, "h"))
+
+
 def _eval_model(tmp_path, weight=0.0, std=None):
     """``eval`` of a hand-written descriptor-only head on two 2-d feature
-    rows; a ``std`` adds a stats file and marks the head calibrated."""
+    rows; a ``std`` adds a stats file and marks the head calibrated with
+    those statistics."""
     (tmp_path / "f.csv").write_text("# dgme-features seed=0 config_hash=h\n"
                                     "clip_id,label,f0,f1\na,pan,0.1,0.2\nb,tilt,0.3,0.4\n")
     (tmp_path / "split.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n")
@@ -394,6 +401,8 @@ def _eval_model(tmp_path, weight=0.0, std=None):
              "class_names": ["static", "tilt", "pan", "zoom"], "backbone_dim": 0,
              "descriptor_dim": 2, "alpha": 1.0, "ln_gain": [1.0, 1.0], "ln_bias": [0.0, 0.0],
              "W": [[weight, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "b": [0.0] * 4}
+    if std is not None:
+        model["stats_digest"] = _unit_mean_digest(std)
     (tmp_path / "m.json").write_text(json.dumps(model))
     args = ["eval", "--split", str(tmp_path / "split.csv"), "--schema", "modern4",
             "--model", str(tmp_path / "m.json"), "--features", str(tmp_path / "f.csv"),
@@ -470,6 +479,35 @@ def _features_without_hash(tmp_path):
     return args
 
 
+def _other_stats(tmp_path):
+    """``_eval_model`` trained with std 2 statistics, evaluated with std 3 ones."""
+    args = _eval_model(tmp_path, std=2.0)
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"config_hash": "h", "count": 2, "mean": [0.0, 0.0], "std": [3.0, 1.0]}))
+    return args
+
+
+def _on_table_calibrated_with(tmp_path, digest):
+    """``_eval_model`` trained with std 2 statistics, evaluated without
+    ``--stats`` on a table marked calibrated, with ``digest`` as its
+    statistics digest unless None."""
+    args = _eval_model(tmp_path, std=2.0)[:-2]
+    path = tmp_path / "f.csv"
+    mark = "calibrated=true" + ("" if digest is None else f" stats_digest={digest}")
+    path.write_text(path.read_text().replace("config_hash=h", f"config_hash=h {mark}"))
+    return args
+
+
+def _model_without_digest(tmp_path):
+    """``_eval_model`` with ``--stats`` of a calibrated model that records no
+    statistics digest, as models written before the digest existed."""
+    args = _eval_model(tmp_path, std=2.0)
+    model = json.loads((tmp_path / "m.json").read_text())
+    del model["stats_digest"]
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    return args
+
+
 def _ragged_annotations(tmp_path):
     (tmp_path / "a.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,pan,extra\n")
     return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", "modern4",
@@ -530,6 +568,16 @@ def _schema_file(tmp_path, text):
     (_features_without_hash, "config hash mismatch: features '' vs model 'h'"),
     (lambda t: _on_calibrated_table(t, "stats", "--out", str(t / "s.json")),
      "features.csv are already calibrated"),
+    (_other_stats, f"statistics mismatch: features calibrated with {_unit_mean_digest(3)!r} "
+                   f"vs model trained with {_unit_mean_digest(2)!r}"),
+    (lambda t: _on_table_calibrated_with(t, "0123456789ab"),
+     f"statistics mismatch: features calibrated with '0123456789ab' "
+     f"vs model trained with {_unit_mean_digest(2)!r}"),
+    (lambda t: _on_table_calibrated_with(t, None),
+     f"statistics mismatch: features calibrated with None "
+     f"vs model trained with {_unit_mean_digest(2)!r}"),
+    (_model_without_digest, f"statistics mismatch: features calibrated with "
+                            f"{_unit_mean_digest(2)!r} vs model trained with None"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -541,13 +589,19 @@ def _schema_file(tmp_path, text):
         "model-classes-not-schema-classes",
         "normalize-calibrated-table", "train-stats-on-calibrated-table",
         "calibrated-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
-        "model-hash-without-features-hash", "stats-of-calibrated-table"])
+        "model-hash-without-features-hash", "stats-of-calibrated-table",
+        "stats-not-training-stats", "table-of-other-stats", "table-without-stats-digest",
+        "model-without-stats-digest"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     rc = main(make_args(tmp_path))
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+
+
+def test_cli_model_takes_a_table_calibrated_with_its_statistics(tmp_path):
+    assert main(_on_table_calibrated_with(tmp_path, _unit_mean_digest(2))) == 0
 
 
 def test_cli_comma_and_quote_in_clip_path_round_trip(tmp_path, capsys):
@@ -937,10 +991,22 @@ def _fresh_python(code, *args):
                           capture_output=True, text=True, timeout=300)
 
 
+# runs the commands of argv lists given as JSON; prints the name of the
+# first command after which scipy was loaded ('import' if importing did it)
+_SCIPY_PROBE = ("import json, sys\n"
+                "import dgme.cli\n"
+                "loaded = ['import'] if 'scipy' in sys.modules else []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert dgme.cli.main(argv) == 0, argv\n"
+                "    if 'scipy' in sys.modules and not loaded:\n"
+                "        loaded.append(argv[0])\n"
+                "print(json.dumps(loaded))\n")
+
+
 def test_cli_head_commands_never_load_scipy(mini_corpus, tmp_path):
-    # only flow (extract) and blurring (historical synth) use scipy, whose
-    # import took most of each command's start-up; ``_train_args`` splits in
-    # this process first, and the child's split writes the same files again
+    # only flow (extract) uses scipy, whose import took most of each
+    # command's start-up; ``_train_args`` splits in this process first, and
+    # the child's split writes the same files again
     model = tmp_path / "m.json"
     commands = [
         _split_args(mini_corpus, tmp_path / "splits"),
@@ -949,18 +1015,34 @@ def test_cli_head_commands_never_load_scipy(mini_corpus, tmp_path):
          "--model", str(model), "--features", str(mini_corpus / "features.csv"),
          "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")],
     ]
-    code = ("import json, sys\n"
-            "import dgme.cli\n"
-            "loaded = ['import'] if 'scipy' in sys.modules else []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert dgme.cli.main(argv) == 0, argv\n"
-            "    if 'scipy' in sys.modules and not loaded:\n"
-            "        loaded.append(argv[0])\n"
-            "print(json.dumps(loaded))\n")
-    child = _fresh_python(code, json.dumps(commands))
+    child = _fresh_python(_SCIPY_PROBE, json.dumps(commands))
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout.splitlines()[-1]) == []
     assert model.is_file()
+
+
+def test_cli_synth_never_loads_scipy(tmp_path):
+    # historical clips are blurred by synth's numpy port of gaussian_filter
+    commands = [["synth", "--classes", "pan,zoom", "--per-class", "1", "--domain", domain,
+                 "--size", "32", "--frames", "3", "--out", str(tmp_path / domain)]
+                for domain in ("historical", "modern")]
+    child = _fresh_python(_SCIPY_PROBE, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []
+    assert len(list((tmp_path / "historical").glob("*.y8seq"))) == 2
+
+
+def test_only_flow_imports_scipy():
+    # flow is the one module that filters with scipy; any other import of
+    # it would load scipy into commands that compute no flow
+    importers = set()
+    for path in Path(dgme.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"flow.py"}
 
 
 def test_cli_extract_loads_scipy_before_the_pool_forks(tmp_path):
