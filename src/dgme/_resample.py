@@ -1,9 +1,10 @@
-"""Shared bilinear sampling helpers.
+"""Shared bilinear sampling helpers and the Gaussian kernel.
 
 All resampling in the toolkit goes through these functions so that
 frame loading, flow warping, and clip synthesis agree bit-for-bit on
 interpolation conventions: half-pixel centers for whole-image resize,
-edge clamping for out-of-range coordinates.
+edge clamping for out-of-range coordinates. ``gaussian_kernel`` gives
+synth's blur and flow's polynomial applicability their weights.
 
 Each function has a multi-plane form that computes the neighbour indices
 and weights once for several equally shaped planes. A whole-image resize
@@ -135,3 +136,11 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     A no-op resize (same shape) reproduces the input exactly.
     """
     return resize_bilinear_planes((img,), out_h, out_w)[0]
+
+
+def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
+    """scipy's Gaussian weights: ``exp(-0.5 / sigma**2 * x**2)`` over the
+    integers x in [-radius, radius], divided by their sum."""
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return weights / weights.sum()

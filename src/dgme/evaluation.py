@@ -155,8 +155,9 @@ def oversample(train: AnnotatedSet, targets: dict, seed: int = 0) -> AnnotatedSe
 
     Each class is repeated cyclically floor(target/n) times plus a seeded
     random sample without replacement of (target mod n) entries. Classes
-    absent from ``targets`` pass through unchanged. Never apply this to
-    validation or test sets.
+    absent from ``targets`` pass through unchanged; a positive target for
+    a class with no entries is refused. Never apply this to validation or
+    test sets.
     """
     rng = np.random.default_rng(seed)
     by_class: dict = {c: [] for c in train.schema.classes}
@@ -166,13 +167,14 @@ def oversample(train: AnnotatedSet, targets: dict, seed: int = 0) -> AnnotatedSe
     out = []
     for cls in train.schema.classes:
         group = by_class[cls]
-        if cls not in targets or not group:
-            out.extend(group)
-            continue
-        target = int(targets[cls])
         n = len(group)
+        target = int(targets.get(cls, n))
         if target < n:
             raise DataError(f"oversample target {target} below current count {n} for class {cls!r}")
+        if target and not n:
+            raise DataError(f"oversample target {target} for class {cls!r}, which has no entries")
+        if not n:
+            continue
         repeats, extra = divmod(target, n)
         out.extend(group * repeats)
         if extra:

@@ -38,10 +38,12 @@ dropped frames, get the all-zero field at once. The full solve returns the
 same bytes there (every value +0.0): the warp by zero displacement is
 exact and leaves a zero right-hand side.
 
-``scipy.ndimage`` is imported inside the functions that filter, so a
-command that computes no flow never loads it. This is the only module of
-the package that imports scipy; ``preload_scipy`` imports it ahead of a
-fork.
+The filters are ``scipy.ndimage``'s, with reflect-101 borders:
+``gaussian_filter`` blurs the pyramid, ``correlate1d`` expands and
+``uniform_filter1d`` is the box window. This is the only module that
+imports scipy, inside the functions that filter, so a command that
+computes no flow never loads it; ``preload_scipy`` imports it ahead of
+a fork.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dgme._resample import resize_bilinear, resize_bilinear_planes, sample_bilinear_planes
+from dgme._resample import (gaussian_kernel, resize_bilinear, resize_bilinear_planes,
+                            sample_bilinear_planes)
 from dgme.errors import DataError
 
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
@@ -112,23 +115,6 @@ def preload_scipy() -> None:
     import scipy.ndimage  # noqa: F401
 
 
-def _gaussian_kernel(half: int, sigma: float) -> np.ndarray:
-    x = np.arange(-half, half + 1, dtype=np.float64)
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return g / g.sum()
-
-
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return img
-    from scipy.ndimage import correlate1d
-
-    half = max(1, int(round(4.0 * sigma)))
-    g = _gaussian_kernel(half, sigma)
-    out = correlate1d(img, g, axis=0, mode="mirror")
-    return correlate1d(out, g, axis=1, mode="mirror")
-
-
 def _poly_expand(img: np.ndarray):
     """Per-pixel quadratic fit coefficients.
 
@@ -142,7 +128,7 @@ def _poly_expand(img: np.ndarray):
 
     half = POLY_N // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
-    g = _gaussian_kernel(half, POLY_SIGMA)
+    g = gaussian_kernel(half, POLY_SIGMA)
     xg = x * g
     xxg = x * x * g
     s2 = float((x * x * g).sum())
@@ -288,6 +274,8 @@ def _pyramid_sizes(h: int, w: int) -> list[tuple[int, int]]:
 def _expand_frame(frame: np.ndarray) -> tuple:
     """Polynomial expansion of one frame at each pyramid level (level 0 is
     full resolution), as read-only arrays."""
+    from scipy.ndimage import gaussian_filter
+
     img = frame.astype(np.float64)
     levels = []
     for level, (hh, ww) in enumerate(_pyramid_sizes(*frame.shape)):
@@ -297,7 +285,7 @@ def _expand_frame(frame: np.ndarray) -> tuple:
             # each level is built from the original image with a matched
             # anti-alias blur, not by repeated halving
             sigma = (1.0 / (PYRAMID_SCALE ** level) - 1.0) * 0.5
-            p = resize_bilinear(_gaussian_blur(img, sigma), hh, ww)
+            p = resize_bilinear(gaussian_filter(img, sigma, mode="mirror"), hh, ww)
         exp = _poly_expand(p)
         for a in exp:
             a.flags.writeable = False

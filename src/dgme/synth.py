@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from dgme._meta import write_table
-from dgme._resample import resize_bilinear, sample_bilinear
+from dgme._resample import gaussian_kernel, resize_bilinear, sample_bilinear
 from dgme.errors import DataError
-from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, write_y8seq
+from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
 
 CLASSES = ("static", "tilt", "pan", "zoom", "track")
 
@@ -118,10 +118,6 @@ def _texture(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
     return out
 
 
-def _emit(frame: np.ndarray) -> np.ndarray:
-    return np.round(frame).clip(0, 255).astype(np.uint8)
-
-
 def _span_error(motion: str, spec: SynthSpec, span: float) -> ValueError:
     return ValueError(
         f"{motion} of {spec.motion_magnitude:g} px/frame over {spec.frames} frames of "
@@ -202,7 +198,7 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
         frame = sample_bilinear(tex, sy, sx)
         if fg_alpha is not None:
             frame = frame * (1.0 - fg_alpha) + fg_pattern * fg_alpha
-        frames.append(_emit(frame))
+        frames.append(to_u8(frame))
     return FrameSequence(
         np.stack(frames),
         clip_id=f"synth-{spec.class_label}-{spec.texture_seed}",
@@ -215,20 +211,18 @@ def _gaussian_blur(frames: np.ndarray, sigma: float) -> None:
     bit, in numpy.
 
     It reproduces scipy's steps: no blur at all for sigma <= 1e-15 (the
-    weights would be NaN), the kernel ``exp(-0.5 / sigma**2 * x**2)`` over
-    the radius ``int(4 * sigma + 0.5)`` divided by its sum, reflect-101
-    borders folded again and again where a frame is shorter than the
-    kernel, rows before columns, and each output pixel summed as scipy's
-    C loop sums a symmetric kernel: the centre tap times its weight, then
-    ``(x[-k] + x[+k]) * w[k]`` from the outermost pair inward. Each pass
-    reads a padded copy of the frame, so it can write the frame itself.
+    weights would be NaN), scipy's kernel (``gaussian_kernel``) over the
+    radius ``int(4 * sigma + 0.5)``, reflect-101 borders folded again and
+    again where a frame is shorter than the kernel, rows before columns,
+    and each output pixel summed as scipy's C loop sums a symmetric
+    kernel: the centre tap times its weight, then ``(x[-k] + x[+k]) *
+    w[k]`` from the outermost pair inward. Each pass reads a padded copy
+    of the frame, so it can write the frame itself.
     """
     if sigma <= 1e-15:
         return
     radius = int(4.0 * sigma + 0.5)
-    x = np.arange(-radius, radius + 1)
-    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
-    weights = weights / weights.sum()
+    weights = gaussian_kernel(radius, sigma)
 
     # one padded buffer per pass, reused by every frame; taps[j] views it
     # shifted by j - radius along the pass's axis
@@ -278,7 +272,7 @@ def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
     f *= spec.contrast_scale
     f += 128.0
     _gaussian_blur(f, spec.blur_sigma)
-    out = [_emit(f[t] + flicker[t] + noise[t]) for t in range(n)]
+    out = [to_u8(f[t] + flicker[t] + noise[t]) for t in range(n)]
     for t in range(1, n):
         if drops[t - 1]:
             out[t] = out[t - 1]

@@ -34,6 +34,11 @@ _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64)
 MAX_FRAME_PIXELS = 4096 * 4096
 
 
+def to_u8(values: np.ndarray) -> np.ndarray:
+    """Pixel values rounded (halves to even), clipped to [0, 255], as u8."""
+    return np.round(values).clip(0, 255).astype(np.uint8)
+
+
 @dataclass
 class FrameSequence:
     """A sampled grayscale clip: frames stacked as a (F, H, W) u8 array."""
@@ -169,7 +174,7 @@ def _read_pnm(path: Path) -> np.ndarray:
     pixels = np.frombuffer(raw, dtype=np.uint8)
     if color:
         rgb = pixels.reshape(height, width, 3).astype(np.float64)
-        return np.round(rgb @ _LUMA).clip(0, 255).astype(np.uint8)
+        return to_u8(rgb @ _LUMA)
     return pixels.reshape(height, width).copy()
 
 
@@ -237,5 +242,5 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
     for idx in indices:
         frame = _resize_shorter_side(source[idx], spec.target_size)
         frame = _center_crop(frame, spec.target_size)
-        out.append(np.round(frame).clip(0, 255).astype(np.uint8))
+        out.append(to_u8(frame))
     return FrameSequence(np.stack(out), clip_id=clip_id(path))

@@ -21,6 +21,7 @@ from dgme.descriptor import (
 )
 from dgme.errors import DataError, NumericError
 from dgme.flow import PolarFlow
+from dgme.videoio import FrameSequence
 from oracles import block_match_descriptor, cell_histogram
 
 CFG = 0.5  # the magnitude threshold, extract --mthr's default
@@ -234,6 +235,39 @@ def test_golden_descriptor_text_of_synthetic_zoom_clip():
                                            motion_magnitude=2.0, texture_seed=3))
     desc = compute_dgme(clip, CFG)
     assert ["%.9g" % x for x in desc] == GOLDEN_ZOOM_96.split()
+
+
+# flips and the transpose of a clip, each with the map of grid cell (i, j)
+# and directional bin k that it induces: image-space angles go to 180 - a,
+# -a and 90 - a
+_K = np.arange(12)
+CLIP_SYMMETRIES = {
+    "left-right": (lambda f: f[:, :, ::-1], lambda i, j: (i, 2 - j), (5 - _K) % 12),
+    "top-bottom": (lambda f: f[:, ::-1, :], lambda i, j: (2 - i, j), (11 - _K) % 12),
+    "transpose": (lambda f: f.transpose(0, 2, 1), lambda i, j: (j, i), (2 - _K) % 12),
+}
+# about 10x the largest difference measured before this test first ran:
+# 9.6e-5 on the seed-3 pan, from a few pixels right on a bin edge
+EQUIVARIANCE_TOL = 1e-3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("label", ["pan", "tilt", "zoom"])
+def test_flip_and_transpose_permute_the_descriptor(label, seed):
+    # 96 px divides into three equal cells, so each map is a symmetry of the grid
+    clip = synth.make_clip(synth.SynthSpec(label, frames=6, size=96,
+                                           motion_magnitude=1.7, texture_seed=seed))
+    base = compute_dgme(clip, CFG).reshape(3, 3, 13)
+    for name, (transform, cell_map, bin_map) in CLIP_SYMMETRIES.items():
+        frames = np.ascontiguousarray(transform(clip.frames))
+        got = compute_dgme(FrameSequence(frames, clip_id=name), CFG).reshape(3, 3, 13)
+        expected = np.empty_like(base)
+        for i in range(3):
+            for j in range(3):
+                cell = expected[cell_map(i, j)]
+                cell[bin_map] = base[i, j, :12]
+                cell[12] = base[i, j, 12]
+        assert np.abs(got - expected).max() <= EQUIVARIANCE_TOL, name
 
 
 def test_compute_dgme_calls_flow_and_polar_once_per_frame_pair(monkeypatch):

@@ -154,6 +154,17 @@ def test_oversample_target_below_count():
         oversample(aset, {"zoom": 4}, seed=0)
 
 
+def test_oversample_target_for_absent_class():
+    # a split with no pan rows cannot reach a pan target; it used to keep
+    # zero pan rows and report success
+    schema = load_schema("modern4")
+    aset = _aset({"static": 3, "tilt": 3, "zoom": 3}, schema)
+    with pytest.raises(DataError, match="'pan'"):
+        oversample(aset, {"pan": 10, "tilt": 3}, seed=0)
+    # a target of zero asks for what the split already has
+    assert oversample(aset, {"pan": 0}, seed=0).entries == aset.entries
+
+
 def test_oversample_modern_default_targets():
     schema = load_schema("modern4")
     aset = _aset(MODERN_ORIGINAL_TRAIN_COUNTS, schema)

@@ -956,6 +956,20 @@ def test_cli_repeated_class_is_usage_error(mini_corpus, tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_cli_oversample_target_for_absent_class(tmp_path, capsys):
+    split = tmp_path / "train.csv"
+    split.write_text("clip_path,label\n" + "".join(
+        f"{label}_{i},{label}\n" for label in ("static", "tilt", "zoom") for i in range(3)))
+    out = tmp_path / "os.csv"
+    capsys.readouterr()
+    rc = main(["oversample", "--split", str(split), "--schema", "modern4",
+               "--targets", "pan=10,tilt=3", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "'pan'" in err[0]
+    assert not out.exists()
+
+
 def test_cli_dotted_clip_ids_survive_oversample_and_predictions(tmp_path):
     # ids keep every dot but the one of the .y8seq suffix, so an id read
     # back from an oversampled split or a predictions file is the same id
