@@ -34,6 +34,15 @@ def parse_meta(line: str) -> dict:
     return meta
 
 
+def existing_file(path, kind: str) -> Path:
+    """``path`` as a Path; a missing file is the data error ``<kind> file
+    not found: <path>``, the same for tables, JSON files and clips."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{kind} file not found: {path}")
+    return path
+
+
 def write_table(path, kind: str, meta: dict, header, rows) -> None:
     """Write the ``# dgme-<kind>`` comment line, ``header`` and ``rows`` as
     CSV with ``\\n`` line endings."""
@@ -50,9 +59,7 @@ def read_table(path, kind: str, parse_row) -> tuple[dict, list[str]]:
     header first, then ``parse_row(n, cells)`` each data row as it is read,
     ``n`` counting from 1. Blank lines are skipped; a row whose cell count
     differs from the header's is a data error."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{kind} file not found: {path}")
+    path = existing_file(path, kind)
     meta: dict = {}
     with open(path, newline="") as fh:
         first = fh.readline()
@@ -100,9 +107,7 @@ def _finite(parse):
 def read_json(path, kind: str) -> dict:
     """The object in a ``kind`` JSON file; a missing file, bad JSON or a
     number that is not a finite float64 is a data error."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{kind} file not found: {path}")
+    path = existing_file(path, kind)
     try:
         return json.loads(path.read_text(), parse_float=_finite(float),
                           parse_int=_finite(int), parse_constant=_finite(float))

@@ -6,8 +6,8 @@ interpolation conventions: half-pixel centers for whole-image resize,
 edge clamping for out-of-range coordinates. ``gaussian_kernel`` gives
 synth's blur and flow's polynomial applicability their weights.
 
-Each function has a multi-plane form that computes the neighbour indices
-and weights once for several equally shaped planes. A whole-image resize
+Sampling and resizing take several equally shaped planes and compute the
+neighbour indices and weights once for all of them. A whole-image resize
 is separable: its row and column coordinates are computed on 1-D axes and
 the four neighbours are gathered by rows, then by columns, with the same
 products in the same order as sampling the full coordinate grid, so the
@@ -33,16 +33,21 @@ def _axis(coords: np.ndarray, n: int, f=None, i0=None, g=None):
     return i0, np.subtract(1.0, f, out=g), f
 
 
-def sample_bilinear(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample a 2-D float array at continuous (ys, xs) coordinates;
-    out-of-range coordinates clamp to the nearest edge sample."""
-    return sample_bilinear_planes((plane,), ys, xs)[0]
+def _plane_shape(planes) -> tuple[int, ...]:
+    """The shape that all ``planes`` share; a ValueError if they differ."""
+    shape = planes[0].shape
+    for plane in planes:
+        if plane.shape != shape:
+            raise ValueError(f"planes differ in shape: {plane.shape} vs {shape}")
+    return shape
 
 
 def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray,
                            out=None, work=None, index=None):
-    """``sample_bilinear`` of each of several equally shaped planes at the
-    same coordinates; the neighbour indices and weights are computed once.
+    """Sample each of several equally shaped 2-D planes at the same
+    continuous (ys, xs) coordinates; out-of-range coordinates clamp to the
+    nearest edge sample, and the neighbour indices and weights are
+    computed once.
 
     The samples take the shape of the coordinates. The caller may pass
     every buffer of that shape, and then nothing of that size is
@@ -59,10 +64,7 @@ def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray,
     which always copies through a buffer when given ``out``, it writes
     straight into ``out``.
     """
-    h, w = planes[0].shape
-    for plane in planes:
-        if plane.shape != (h, w):
-            raise ValueError(f"planes differ in shape: {plane.shape} vs {(h, w)}")
+    h, w = _plane_shape(planes)
     shape = np.broadcast_shapes(np.shape(ys), np.shape(xs))
     if out is None:
         out = np.empty((len(planes),) + shape)
@@ -102,10 +104,7 @@ def sample_bilinear_planes(planes, ys: np.ndarray, xs: np.ndarray,
 def resize_bilinear_planes(planes, out_h: int, out_w: int) -> list[np.ndarray]:
     """``resize_bilinear`` of each of several equally shaped planes; the
     row and column indices and weights are computed once."""
-    h, w = planes[0].shape
-    for plane in planes:
-        if plane.shape != (h, w):
-            raise ValueError(f"planes differ in shape: {plane.shape} vs {(h, w)}")
+    h, w = _plane_shape(planes)
     if (h, w) == (out_h, out_w):
         return [plane.copy() for plane in planes]
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5

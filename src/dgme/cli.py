@@ -199,6 +199,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _clip_ids(rows) -> list[str]:
+    """The clip id of each annotation row; a repeated id is a data error."""
+    first: dict[str, int] = {}
+    for n, (rel, _) in enumerate(rows, 1):
+        cid = clip_id(rel)
+        if cid in first:
+            raise DataError(f"row {n}: clip id {cid!r} of {rel} duplicates row {first[cid]}")
+        first[cid] = n
+    return list(first)
+
+
 # module-level worker so multiprocessing can pickle it
 def _extract_one(task):
     index, clip_path, sampling, magnitude_threshold = task
@@ -219,18 +230,12 @@ def cmd_extract(args) -> int:
                             target_size=args.target_size)
     cfg_hash = dsc.config_hash(args.mthr)
 
+    clip_ids = _clip_ids(rows)
     tasks = []
-    clip_ids: dict[str, int] = {}
     for i, (rel, _) in enumerate(rows):
         clip_path = root / rel
         if not clip_path.exists():
             raise DataError(f"row {i + 1}: clip file missing: {clip_path}")
-        cid = clip_id(rel)
-        if cid in clip_ids:
-            raise DataError(
-                f"row {i + 1}: clip id {cid!r} of {rel} duplicates row {clip_ids[cid] + 1}"
-            )
-        clip_ids[cid] = i
         tasks.append((i, str(clip_path), sampling, args.mthr))
 
     workers = min(args.jobs, len(tasks))  # at most one worker per clip
@@ -247,7 +252,7 @@ def cmd_extract(args) -> int:
             results = pool.map(_extract_one, tasks)
     matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
     labels = [label for _, label in rows]
-    dsc.write_features_csv(args.out, list(clip_ids), labels, matrix,
+    dsc.write_features_csv(args.out, clip_ids, labels, matrix,
                            _out_meta(args.seed, cfg_hash, source=meta))
     print(f"wrote {len(tasks)} descriptors to {args.out}")
     return 0
@@ -331,16 +336,17 @@ def _load_annotated(path, schema) -> tuple[dict, ev.AnnotatedSet]:
 def cmd_split(args) -> int:
     schema = ev.load_schema(args.schema)
     meta, rows = ev.read_annotations_csv(args.ann)
+    # a repeated clip could land on both sides of the split
+    _clip_ids(rows)
     aset = ev.remap_labels(rows, schema)
-    train, val, test = ev.stratified_split(aset, seed=args.seed)
+    parts = dict(zip(("train", "val", "test"), ev.stratified_split(aset, seed=args.seed)))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_meta = _out_meta(args.seed, schema=schema.name, source=meta)
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in parts.items():
         ev.write_annotations_csv(out_dir / f"{name}.csv", part.entries, out_meta)
-    counts = {name: len(part.entries) for name, part in
-              (("train", train), ("val", val), ("test", test))}
+    counts = {name: len(part.entries) for name, part in parts.items()}
     print(f"split {len(aset.entries)} entries -> {counts}")
     return 0
 
@@ -389,10 +395,7 @@ def _embed_clips(clips_dir, clip_ids, seed, dim=mdl.EMBED_DIM):
     for cid in clip_ids:
         if cid in embedded:
             continue
-        path = root / f"{cid}.y8seq"
-        if not path.is_file():
-            raise DataError(f"clip file for embedding not found: {path}")
-        embedded[cid] = provider.embed(read_y8seq(path))
+        embedded[cid] = provider.embed(read_y8seq(root / f"{cid}.y8seq"))
     rows = [embedded[cid] for cid in clip_ids]
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim), provider
 
@@ -466,10 +469,12 @@ def cmd_eval(args) -> int:
         if model_meta.get("mode") == "fusion":
             if args.clips is None:
                 raise UsageError("evaluating a fusion model requires --clips")
-            backbone, _ = _embed_clips(
-                args.clips, ids, _meta_int(model_meta, "embed_seed", 0, args.model, 0),
-                _meta_int(model_meta, "embed_dim", mdl.EMBED_DIM, args.model, 0),
-            )
+            embed_seed = _meta_int(model_meta, "embed_seed", 0, args.model, 0)
+            embed_dim = _meta_int(model_meta, "embed_dim", mdl.EMBED_DIM, args.model, 0)
+            if embed_dim != params.backbone_dim:
+                raise DataError(f"{args.model}: embed_dim {embed_dim} is not the head's "
+                                f"backbone_dim {params.backbone_dim}")
+            backbone, _ = _embed_clips(args.clips, ids, embed_seed, embed_dim)
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
         seed = _meta_int(model_meta, "seed", args.seed, args.model)

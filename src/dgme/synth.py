@@ -18,8 +18,9 @@ The texture canvas is oversized by the total motion extent plus 4 px, so
 every bilinear sample lies at least 4 px inside it. A translation's
 canvas grows with magnitude times frame count, a zoom-out's
 geometrically with the frame count; a clip whose motion would span more
-than ``MAX_TEXTURE_SPAN`` times the frame side of texture is refused
-before anything is allocated. A separate degradation stage
+than ``MAX_TEXTURE_SPAN`` times the frame side of texture, or whose
+canvas would hold more than ``MAX_FRAME_PIXELS``, is refused before
+anything is allocated. A separate degradation stage
 simulates archival footage: contrast compression, blur, flicker, noise,
 and frame repeats.
 """
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from dgme._meta import write_table
-from dgme._resample import gaussian_kernel, resize_bilinear, sample_bilinear
+from dgme._resample import gaussian_kernel, resize_bilinear, sample_bilinear_planes
 from dgme.errors import DataError
 from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
 
@@ -127,25 +128,33 @@ def _span_error(motion: str, spec: SynthSpec, span: float) -> ValueError:
 
 
 def _canvas_margin(spec: SynthSpec) -> int:
-    """Texture border around the frame that the clip's motion needs."""
+    """Texture border around the frame that the clip's motion needs; the
+    canvas, the frame plus this border on each side, holds at most
+    ``MAX_FRAME_PIXELS``."""
     size, n, mag = spec.size, spec.frames, spec.motion_magnitude
     if spec.class_label == "static":
-        return int(np.ceil(spec.jitter)) + 4
-    if spec.class_label != "zoom":
+        margin = int(np.ceil(spec.jitter)) + 4
+    elif spec.class_label != "zoom":
         # the clip's frames together span size + travel px along the motion
         travel = mag * (n - 1)
         if size + travel > MAX_TEXTURE_SPAN * size:
             raise _span_error(spec.class_label, spec, (size + travel) / size)
-        return int(np.ceil(travel)) + 4
-    if mag >= size / 2.0:
+        margin = int(np.ceil(travel)) + 4
+    elif mag >= size / 2.0:
         raise ValueError("zoom magnitude too large for frame size")
-    if spec.direction_sign > 0:
-        return 4
-    # the last frame spans 1/shrink times the frame side on the texture
-    shrink = (1.0 - mag / (size / 2.0)) ** (n - 1)
-    if shrink * MAX_TEXTURE_SPAN < 1.0:
-        raise _span_error("zoom-out", spec, 1.0 / shrink)
-    return int(np.ceil((size / 2.0) * (1.0 / shrink - 1.0))) + 4
+    elif spec.direction_sign > 0:
+        margin = 4
+    else:
+        # the last frame spans 1/shrink times the frame side on the texture
+        shrink = (1.0 - mag / (size / 2.0)) ** (n - 1)
+        if shrink * MAX_TEXTURE_SPAN < 1.0:
+            raise _span_error("zoom-out", spec, 1.0 / shrink)
+        margin = int(np.ceil((size / 2.0) * (1.0 / shrink - 1.0))) + 4
+    side = size + 2 * margin
+    if side * side > MAX_FRAME_PIXELS:
+        raise ValueError(f"a {size} px {spec.class_label} clip needs a {side}x{side} "
+                         f"texture canvas, more than {MAX_FRAME_PIXELS} pixels")
+    return margin
 
 
 def make_clip(spec: SynthSpec) -> FrameSequence:
@@ -195,7 +204,7 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
             s = (1.0 + sign * mag / (size / 2.0)) ** t
             sy = ctex + (yy - c) / s
             sx = ctex + (xx - c) / s
-        frame = sample_bilinear(tex, sy, sx)
+        frame = sample_bilinear_planes((tex,), sy, sx)[0]
         if fg_alpha is not None:
             frame = frame * (1.0 - fg_alpha) + fg_pattern * fg_alpha
         frames.append(to_u8(frame))
@@ -309,8 +318,8 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
             raise DataError(f"unknown class {c!r}, valid classes: {', '.join(CLASSES)}")
         # refuse before writing anything: the worst-case spec of every
         # class, static too, checks frames and size; any clip may draw the
-        # largest magnitude, and a zoom clip may zoom out
-        _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1))
+        # largest magnitude and jitter, and a zoom clip may zoom out
+        _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1, 0, STATIC_JITTER_MAX))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dgme._meta import existing_file
 from dgme._resample import resize_bilinear
 from dgme.errors import DataError
 
@@ -108,9 +109,7 @@ def write_y8seq(seq: FrameSequence, path) -> None:
 
 def read_y8seq(path) -> FrameSequence:
     """Read a ``.y8seq`` clip; errors name expected vs actual byte counts."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"clip file not found: {path}")
+    path = existing_file(path, "clip")
     data = path.read_bytes()
     if len(data) < 16:
         raise DataError(f"truncated y8seq header in {path}: expected 16 bytes, have {len(data)}")
@@ -180,7 +179,7 @@ def _read_pnm(path: Path) -> np.ndarray:
 
 def _read_frame_dir(path: Path) -> np.ndarray:
     names = sorted(
-        p for p in path.iterdir() if p.suffix.lower() in (".pgm", ".ppm")
+        p for p in path.iterdir() if p.suffix.lower() in (".pgm", ".ppm") and p.is_file()
     )
     if not names:
         raise DataError(f"no PGM/PPM frames found in {path}")
@@ -200,18 +199,6 @@ def _resized_shape(h: int, w: int, target: int) -> tuple[int, int]:
     if h <= w:
         return target, max(target, int(round(w * target / h)))
     return max(target, int(round(h * target / w))), target
-
-
-def _resize_shorter_side(frame: np.ndarray, target: int) -> np.ndarray:
-    """Bilinear resize so the shorter side equals ``target`` exactly."""
-    return resize_bilinear(frame.astype(np.float64), *_resized_shape(*frame.shape, target))
-
-
-def _center_crop(frame: np.ndarray, size: int) -> np.ndarray:
-    h, w = frame.shape
-    y0 = (h - size) // 2
-    x0 = (w - size) // 2
-    return frame[y0 : y0 + size, x0 : x0 + size]
 
 
 def load_clip(path, spec: SamplingSpec) -> FrameSequence:
@@ -237,10 +224,10 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
             f"to {out_w}x{out_h}, more than {MAX_FRAME_PIXELS} pixels"
         )
 
-    indices = np.arange(spec.frames_per_clip) * spec.frame_interval
+    size = spec.target_size
+    y0, x0 = (out_h - size) // 2, (out_w - size) // 2
     out = []
-    for idx in indices:
-        frame = _resize_shorter_side(source[idx], spec.target_size)
-        frame = _center_crop(frame, spec.target_size)
-        out.append(to_u8(frame))
+    for idx in np.arange(spec.frames_per_clip) * spec.frame_interval:
+        frame = resize_bilinear(source[idx].astype(np.float64), out_h, out_w)
+        out.append(to_u8(frame[y0 : y0 + size, x0 : x0 + size]))
     return FrameSequence(np.stack(out), clip_id=clip_id(path))

@@ -61,17 +61,10 @@ def rose_svg(directional: np.ndarray, meta: dict | None = None) -> str:
     step = 360.0 / bins
 
     lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        _meta_comment(meta),
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{ROSE_SIZE}" height="{ROSE_SIZE}" '
-        f'viewBox="0 0 {ROSE_SIZE} {ROSE_SIZE}">',
-        f'<rect width="{ROSE_SIZE}" height="{ROSE_SIZE}" fill="white"/>',
+        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ROSE_RADIUS * frac)}" '
+        'fill="none" stroke="#cccccc" stroke-width="1"/>'
+        for frac in (1.0, 2.0 / 3.0, 1.0 / 3.0)
     ]
-    for frac in (1.0, 2.0 / 3.0, 1.0 / 3.0):
-        lines.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ROSE_RADIUS * frac)}" '
-            'fill="none" stroke="#cccccc" stroke-width="1"/>'
-        )
     for k in range(bins):
         r = radii[k]
         if r <= 0:
@@ -85,8 +78,7 @@ def rose_svg(directional: np.ndarray, meta: dict | None = None) -> str:
             f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" '
             f'fill="#2a6fb0" fill-opacity="0.85" stroke="#174a7a" stroke-width="1"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(line for line in lines if line) + "\n"
+    return _svg_document(ROSE_SIZE, meta, lines)
 
 
 def grid_arrow_angles(values: np.ndarray) -> list[float | None]:
@@ -117,15 +109,8 @@ def grid_svg(values: np.ndarray, meta: dict | None = None) -> str:
     cells = values.reshape(GRID * GRID, BINS_PER_CELL)
     dir_mass = cells[:, :DIRECTIONAL_BINS].sum(axis=1)
     peak = dir_mass.max()
-    size = GRID * CELL_PX
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        _meta_comment(meta),
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    lines = []
     for k in range(GRID * GRID):
         i, j = divmod(k, GRID)
         x, y = j * CELL_PX, i * CELL_PX
@@ -144,10 +129,8 @@ def grid_svg(values: np.ndarray, meta: dict | None = None) -> str:
         ccx, ccy = x + CELL_PX / 2.0, y + CELL_PX / 2.0
         rad = math.radians(angle)
         length = CELL_PX * 0.32
-        tipx = ccx + length * math.cos(rad)
-        tipy = ccy + length * math.sin(rad)
-        tailx = ccx - length * math.cos(rad)
-        taily = ccy - length * math.sin(rad)
+        dx, dy = length * math.cos(rad), length * math.sin(rad)
+        tipx, tipy, tailx, taily = ccx + dx, ccy + dy, ccx - dx, ccy - dy
         head = CELL_PX * 0.10
         left = rad + math.radians(150.0)
         right = rad - math.radians(150.0)
@@ -161,9 +144,20 @@ def grid_svg(values: np.ndarray, meta: dict | None = None) -> str:
             f'{_fmt(tipx + head * math.cos(right))},{_fmt(tipy + head * math.sin(right))}" '
             'fill="#b03030"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(line for line in lines if line) + "\n"
+    return _svg_document(GRID * CELL_PX, meta, lines)
 
 
-def _meta_comment(meta: dict | None) -> str:
-    return f"<!-- {format_meta('viz', meta)} -->" if meta else ""
+def _svg_document(side: int, meta: dict | None, body: list[str]) -> str:
+    """A square SVG of ``side`` px: the XML declaration, the ``dgme-viz``
+    metadata comment unless ``meta`` is empty, a white background, then the
+    ``body`` elements, one per line."""
+    comment = [f"<!-- {format_meta('viz', meta)} -->"] if meta else []
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        *comment,
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}" '
+        f'viewBox="0 0 {side} {side}">',
+        f'<rect width="{side}" height="{side}" fill="white"/>',
+        *body,
+        "</svg>",
+    ]) + "\n"

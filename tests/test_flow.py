@@ -11,7 +11,6 @@ from dgme import flow, synth
 from dgme._resample import (
     resize_bilinear,
     resize_bilinear_planes,
-    sample_bilinear,
     sample_bilinear_planes,
 )
 from dgme.errors import DataError
@@ -213,7 +212,7 @@ def test_shared_index_warp_matches_per_plane_sampling(h, w, n_planes, seed, span
     assert len(shared) == n_planes
     for plane, warped in zip(planes, shared):
         reference = sample_bilinear_2d(plane, ys, xs)
-        assert np.array_equal(warped, sample_bilinear(plane, ys, xs))
+        assert np.array_equal(warped, sample_bilinear_planes((plane,), ys, xs)[0])
         assert np.array_equal(warped, reference)
 
 

@@ -260,3 +260,17 @@ def test_translation_canvas_bounded():
     for label in ("pan", "tilt", "track"):
         with pytest.raises(ValueError, match=f"{label} of 1000 px/frame over 12 frames"):
             synth._canvas_margin(synth.SynthSpec(label, 12, 16, 1000.0))
+
+
+def test_canvas_bounded_by_the_frame_pixel_limit():
+    # a 4096 px pan of 2600 px/frame over 12 frames passes the frame and the
+    # span bounds, and used to ask for 61,304 px float64 planes of 28 GiB each
+    with pytest.raises(ValueError, match="pan clip needs a 61304x61304 texture canvas"):
+        synth._canvas_margin(synth.SynthSpec("pan", 12, 4096, 2600.0))
+    # a drawn static clip has a 5 px margin, so 4086 px is its largest frame,
+    # and 4096 px frames are refused for every class
+    static = synth.SynthSpec("static", size=4086, jitter=synth.STATIC_JITTER_MAX)
+    assert synth._canvas_margin(static) == 5
+    for spec in (replace(static, size=4087), synth.SynthSpec("zoom", size=4096)):
+        with pytest.raises(ValueError, match="texture canvas"):
+            synth._canvas_margin(spec)

@@ -96,6 +96,18 @@ def test_pgm_dir_sorted_lexicographically(tmp_path):
     assert [int(f[0, 0]) for f in seq.frames] == [0, 1, 2]
 
 
+def test_frame_dir_skips_directories_named_like_frames(tmp_path):
+    # a sub.pgm directory used to end extract in an IsADirectoryError
+    d = tmp_path / "clip"
+    d.mkdir()
+    for i in range(3):
+        _write_pgm(d / f"f{i}.pgm", np.full((16, 16), 40 * i, dtype=np.uint8))
+    spec = SamplingSpec(frames_per_clip=3, frame_interval=1, target_size=16)
+    frames = load_clip(d, spec).frames
+    (d / "sub.pgm").mkdir()
+    assert np.array_equal(load_clip(d, spec).frames, frames)
+
+
 def test_ppm_converted_with_bt601_weights(tmp_path):
     d = tmp_path / "clip"
     d.mkdir()

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -82,6 +83,23 @@ def test_svg_deterministic():
     assert grid_svg(values) == grid_svg(values.copy())
     directional, _ = aggregate_bins(values[None, :])
     assert rose_svg(directional) == rose_svg(directional.copy())
+
+
+@pytest.mark.parametrize("view, with_meta, digest", [
+    ("rose", False, "2d73af8f0754df912fbc310536b2be20711e11fb7a0abfb7aa178bcadee86eaa"),
+    ("rose", True, "cc9553a824d7fdd7c646dd7604c8b96eb8f0508fbe44c675d904b3be5d72502f"),
+    ("grid", False, "a09301455aabb4e77251fc7a622b4475c368e12d57b95a1350b6040bd1aafaf3"),
+    ("grid", True, "aa519fcfd81e24d5693e294ef5e9c3ccf0768a749d49904a34eabb3078a9a861"),
+], ids=["rose", "rose-meta", "grid", "grid-meta"])
+def test_svg_bytes_pinned(view, with_meta, digest):
+    # a fixed descriptor whose first cell has no static mass and whose last
+    # cell is static-dominated, so the grid has shades, arrows and a blank
+    values = np.random.default_rng(19).random(117) ** 3
+    values[12::13] *= np.arange(9)
+    meta = {"version": "0.1.0", "seed": 7, "config_hash": "a45e484d53c2"} if with_meta else None
+    svg = (rose_svg(aggregate_bins(values)[0], meta) if view == "rose"
+           else grid_svg(values, meta))
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +532,12 @@ def _ragged_annotations(tmp_path):
             "--out-dir", str(tmp_path / "splits")]
 
 
+def _repeated_clip_annotations(tmp_path):
+    (tmp_path / "a.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\nx/a.y8seq,pan\n")
+    return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", "modern4",
+            "--out-dir", str(tmp_path / "splits")]
+
+
 def _schema_file(tmp_path, text):
     (tmp_path / "schema.json").write_text(text)
     return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", str(tmp_path / "schema.json"),
@@ -542,6 +566,7 @@ def _schema_file(tmp_path, text):
     (lambda t: _model_field(t, "alpha", "inf"), "m.json: expected a number, got 'inf'"),
     (lambda t: _eval_model(t, std="nan"), "s.json: expected a number, got 'nan'"),
     (_ragged_annotations, "annotations row 2"),
+    (_repeated_clip_annotations, "row 3: clip id 'a' of x/a.y8seq duplicates row 1"),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
     (lambda t: _schema_file(t, '{"name": "my schema", "classes": ["pan"], "remap": {}}'),
@@ -550,6 +575,8 @@ def _schema_file(tmp_path, text):
      "m.json: embed_seed must be an integer >= 0, got None"),
     (lambda t: _fusion_model_field(t, "embed_dim", -3),
      "m.json: embed_dim must be an integer >= 0, got -3"),
+    (lambda t: _fusion_model_field(t, "embed_dim", 10**12),
+     "m.json: embed_dim 1000000000000 is not the head's backbone_dim 0"),
     (lambda t: _model_field(t, "seed", "abc"), "m.json: seed must be an integer, got 'abc'"),
     (lambda t: _model_field(t, "seed", None), "m.json: seed must be an integer, got None"),
     (_seed_in_features_comment, "features.csv: seed must be an integer, got 'abc'"),
@@ -583,8 +610,9 @@ def _schema_file(tmp_path, text):
         "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
         "string-model-alpha", "string-stats-std", "ragged-annotations-row",
+        "split-repeated-clip-id",
         "schema-without-classes", "malformed-schema", "schema-name-with-space",
-        "null-embed-seed", "negative-embed-dim",
+        "null-embed-seed", "negative-embed-dim", "embed-dim-not-backbone-dim",
         "string-model-seed", "null-model-seed", "string-features-seed",
         "model-classes-not-schema-classes",
         "normalize-calibrated-table", "train-stats-on-calibrated-table",
@@ -598,6 +626,13 @@ def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+
+
+def test_cli_split_refuses_repeated_clip_id_before_writing(tmp_path):
+    # annotations listing every clip twice used to split with test clips in
+    # train too; the error line is a row of test_cli_bad_input_is_data_error
+    assert main(_repeated_clip_annotations(tmp_path)) == 2
+    assert not (tmp_path / "splits").exists()
 
 
 def test_cli_model_takes_a_table_calibrated_with_its_statistics(tmp_path):
@@ -851,6 +886,21 @@ def test_cli_out_dir_at_existing_file_is_refused(mini_corpus, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"error: argument {option}: {taken} is not a directory"]
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+
+def test_cli_synth_refuses_a_canvas_over_the_pixel_limit_before_writing(tmp_path, capsys,
+                                                                       monkeypatch):
+    # 4096 px frames pass the frame limit, but this pan needs a 61,304 px
+    # canvas; a texture drawn anyway fails the test instead of allocating
+    monkeypatch.setattr(synth, "_texture", lambda *a: 1 / 0)
+    out = tmp_path / "corpus"
+    rc = main(["synth", "--classes", "pan", "--per-class", "1", "--out", str(out),
+               "--size", "4096", "--frames", "12", "--mag-min", "2600", "--mag-max", "2600"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a 4096 px pan clip needs a 61304x61304 texture canvas, "
+        f"more than {dgme.videoio.MAX_FRAME_PIXELS} pixels"]
+    assert not out.exists()
 
 
 def test_cli_synth_refuses_frames_over_the_pixel_limit_before_writing(tmp_path, capsys,
