@@ -82,6 +82,17 @@ def read_table(path, kind: str, parse_row) -> tuple[dict, list[str]]:
     return meta, header
 
 
+def refuse_repeated_ids(kind: str, path, ids) -> None:
+    """One row per clip id: ``ids`` are the clip ids of a ``kind`` table's
+    rows in order, and a repeat is the data error ``<kind> row N (<id>)
+    repeats the clip id of row M in <path>``."""
+    first: dict[str, int] = {}
+    for n, cid in enumerate(ids, 1):
+        if first.setdefault(cid, n) != n:
+            raise DataError(f"{kind} row {n} ({cid}) repeats the clip id of row "
+                            f"{first[cid]} in {path}")
+
+
 def write_json(path, meta: dict, fields: dict) -> None:
     """Write ``meta`` then ``fields`` as one JSON object; NaN and infinity
     are a numeric failure, and no file is written."""

@@ -21,6 +21,7 @@ from dgme import descriptor as dsc
 from dgme import evaluation as ev
 from dgme import model as mdl
 from dgme import flow, synth, viz
+from dgme._meta import refuse_repeated_ids
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
@@ -181,8 +182,6 @@ def cmd_synth(args) -> int:
     if not classes:
         raise UsageError("no classes given")
     for i, c in enumerate(classes):
-        if c not in synth.CLASSES:
-            raise UsageError(f"unknown class {c!r}, valid classes: {', '.join(synth.CLASSES)}")
         if c in classes[:i]:
             raise UsageError(f"class {c!r} repeated in --classes")
     if not (math.isfinite(args.mag_min) and math.isfinite(args.mag_max)
@@ -197,17 +196,6 @@ def cmd_synth(args) -> int:
     )
     print(f"wrote {len(rows)} clips to {args.out}")
     return 0
-
-
-def _clip_ids(rows) -> list[str]:
-    """The clip id of each annotation row; a repeated id is a data error."""
-    first: dict[str, int] = {}
-    for n, (rel, _) in enumerate(rows, 1):
-        cid = clip_id(rel)
-        if cid in first:
-            raise DataError(f"row {n}: clip id {cid!r} of {rel} duplicates row {first[cid]}")
-        first[cid] = n
-    return list(first)
 
 
 # module-level worker so multiprocessing can pickle it
@@ -230,7 +218,8 @@ def cmd_extract(args) -> int:
                             target_size=args.target_size)
     cfg_hash = dsc.config_hash(args.mthr)
 
-    clip_ids = _clip_ids(rows)
+    clip_ids = [clip_id(rel) for rel, _ in rows]
+    refuse_repeated_ids("annotations", ann_path, clip_ids)
     tasks = []
     for i, (rel, _) in enumerate(rows):
         clip_path = root / rel
@@ -337,7 +326,7 @@ def cmd_split(args) -> int:
     schema = ev.load_schema(args.schema)
     meta, rows = ev.read_annotations_csv(args.ann)
     # a repeated clip could land on both sides of the split
-    _clip_ids(rows)
+    refuse_repeated_ids("annotations", args.ann, (clip_id(rel) for rel, _ in rows))
     aset = ev.remap_labels(rows, schema)
     parts = dict(zip(("train", "val", "test"), ev.stratified_split(aset, seed=args.seed)))
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from dgme import flow
-from dgme._meta import numbers, read_json, read_table, write_json, write_table
+from dgme._meta import numbers, read_json, read_table, refuse_repeated_ids, write_json, write_table
 from dgme.errors import DataError, NumericError
 from dgme.flow import PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
@@ -198,31 +198,32 @@ def write_features_csv(path, clip_ids: Sequence[str], labels: Sequence[str],
 
 
 def read_features_csv(path):
-    """Read a features table; returns (meta, clip_ids, labels, matrix)."""
+    """Read a features table; returns (meta, clip_ids, labels, matrix). A
+    header with other than ``DESCRIPTOR_LENGTH`` descriptor columns is a
+    data error."""
     path = Path(path)
     clip_ids: list[str] = []
     labels: list[str] = []
     rows: list[list[float]] = []
-    first_row: dict[str, int] = {}
 
     def parse_row(n, rec):
         if n == 0:
             if rec[:2] != ["clip_id", "label"]:
                 raise DataError(f"unexpected features header in {path}: {','.join(rec)!r}")
+            if len(rec) - 2 != DESCRIPTOR_LENGTH:
+                raise DataError(f"features {path} have {len(rec) - 2} descriptor columns, "
+                                f"not {DESCRIPTOR_LENGTH}")
             return
         try:
             rows.append([float(v) for v in rec[2:]])
         except ValueError as exc:
             raise DataError(f"features row {n} ({rec[0]}) in {path}: {exc}") from exc
-        if rec[0] in first_row:
-            raise DataError(f"features row {n} ({rec[0]}) repeats the clip id of row "
-                            f"{first_row[rec[0]]} in {path}")
-        first_row[rec[0]] = n
         clip_ids.append(rec[0])
         labels.append(rec[1])
 
-    meta, header = read_table(path, "features", parse_row)
-    matrix = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(header) - 2))
+    meta, _ = read_table(path, "features", parse_row)
+    refuse_repeated_ids("features", path, clip_ids)
+    matrix = np.array(rows, dtype=np.float64).reshape(-1, DESCRIPTOR_LENGTH)
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         k = int(bad[0])

@@ -19,8 +19,9 @@ every bilinear sample lies at least 4 px inside it. A translation's
 canvas grows with magnitude times frame count, a zoom-out's
 geometrically with the frame count; a clip whose motion would span more
 than ``MAX_TEXTURE_SPAN`` times the frame side of texture, or whose
-canvas would hold more than ``MAX_FRAME_PIXELS``, is refused before
-anything is allocated. A separate degradation stage
+canvas would hold more than ``MAX_FRAME_PIXELS`` (the one pixel limit:
+the frame lies inside the canvas), is refused before anything is
+allocated. A separate degradation stage
 simulates archival footage: contrast compression, blur, flicker, noise,
 and frame repeats.
 """
@@ -34,7 +35,6 @@ import numpy as np
 
 from dgme._meta import write_table
 from dgme._resample import gaussian_kernel, resize_bilinear, sample_bilinear_planes
-from dgme.errors import DataError
 from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
 
 CLASSES = ("static", "tilt", "pan", "zoom", "track")
@@ -59,14 +59,12 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.class_label not in CLASSES:
-            raise ValueError(f"unknown class {self.class_label!r}, expected one of {CLASSES}")
+            raise ValueError(f"unknown class {self.class_label!r}, "
+                             f"valid classes: {', '.join(CLASSES)}")
         if self.frames < 2:
             raise ValueError("frames must be >= 2")
         if self.size < 16:
             raise ValueError("size must be >= 16")
-        if self.size ** 2 > MAX_FRAME_PIXELS:
-            raise ValueError(f"a {self.size}x{self.size} frame holds more than "
-                             f"{MAX_FRAME_PIXELS} pixels")
         if self.class_label != "static" and self.motion_magnitude <= 0:
             raise ValueError("motion_magnitude must be positive for moving classes")
         if self.direction_sign not in (-1, 1):
@@ -314,11 +312,9 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
     if domain not in ("modern", "historical"):
         raise ValueError(f"unknown domain {domain!r}")
     for c in classes:
-        if c not in CLASSES:
-            raise DataError(f"unknown class {c!r}, valid classes: {', '.join(CLASSES)}")
         # refuse before writing anything: the worst-case spec of every
-        # class, static too, checks frames and size; any clip may draw the
-        # largest magnitude and jitter, and a zoom clip may zoom out
+        # class, static too, checks the class, frames and size; any clip may
+        # draw the largest magnitude and jitter, and a zoom clip may zoom out
         _canvas_margin(SynthSpec(c, frames, size, max(magnitude_range), -1, 0, STATIC_JITTER_MAX))
 
     out_dir = Path(out_dir)

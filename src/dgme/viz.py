@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from dgme._meta import format_meta
-from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DESCRIPTOR_LENGTH, DIRECTIONAL_BINS, GRID
-from dgme.errors import DataError
+from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DIRECTIONAL_BINS, GRID
 
 # side of the square rose diagram, and of one grid-map cell, in SVG px
 ROSE_SIZE = 300
@@ -35,8 +34,6 @@ def _fmt(v: float) -> str:
 def aggregate_bins(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Sum features over clips and cells; returns (directional[12], static mass)."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.shape[1] != DESCRIPTOR_LENGTH:
-        raise DataError(f"feature width {matrix.shape[1]} is not {DESCRIPTOR_LENGTH}")
     cells = matrix.sum(axis=0).reshape(GRID * GRID, BINS_PER_CELL)
     directional = cells[:, :DIRECTIONAL_BINS].sum(axis=0)
     static = float(cells[:, DIRECTIONAL_BINS].sum())
@@ -83,10 +80,7 @@ def rose_svg(directional: np.ndarray, meta: dict | None = None) -> str:
 
 def grid_arrow_angles(values: np.ndarray) -> list[float | None]:
     """Circular-mean angle per cell, or None where static mass dominates."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (DESCRIPTOR_LENGTH,):
-        raise DataError(f"descriptor shape {values.shape} is not ({DESCRIPTOR_LENGTH},)")
-    cells = values.reshape(GRID * GRID, BINS_PER_CELL)
+    cells = np.asarray(values, dtype=np.float64).reshape(GRID * GRID, BINS_PER_CELL)
     centers = np.radians((np.arange(DIRECTIONAL_BINS) + 0.5) * BIN_WIDTH)
     angles: list[float | None] = []
     for cell in cells:

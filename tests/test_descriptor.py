@@ -377,7 +377,7 @@ def test_config_hash_pinned():
 
 def test_features_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    descs = [_desc(rng.uniform(0, 1, size=5)) for _ in range(3)]
+    descs = [_desc(rng.uniform(0, 1, size=117)) for _ in range(3)]
     labels = ["pan", "tilt", "pan"]
     path = tmp_path / "f.csv"
     write_features_csv(path, ["c0", "c1", "c2"], labels, np.stack(descs),

@@ -7,7 +7,6 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from dgme import synth
-from dgme.errors import DataError
 from dgme.videoio import read_y8seq
 from oracles import block_match_flow
 
@@ -234,7 +233,7 @@ def test_make_corpus_historical_contains_duplicate_frames(tmp_path):
 
 
 def test_make_corpus_rejects_unknown_class(tmp_path):
-    with pytest.raises(DataError, match="unknown class"):
+    with pytest.raises(ValueError, match="unknown class 'roll', valid classes: static, "):
         synth.make_corpus(tmp_path / "x", ["roll"], 1, "modern", seed=0)
 
 
@@ -263,8 +262,8 @@ def test_translation_canvas_bounded():
 
 
 def test_canvas_bounded_by_the_frame_pixel_limit():
-    # a 4096 px pan of 2600 px/frame over 12 frames passes the frame and the
-    # span bounds, and used to ask for 61,304 px float64 planes of 28 GiB each
+    # a 4096 px pan of 2600 px/frame over 12 frames passes the span bound,
+    # and used to ask for 61,304 px float64 planes of 28 GiB each
     with pytest.raises(ValueError, match="pan clip needs a 61304x61304 texture canvas"):
         synth._canvas_margin(synth.SynthSpec("pan", 12, 4096, 2600.0))
     # a drawn static clip has a 5 px margin, so 4086 px is its largest frame,

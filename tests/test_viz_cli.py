@@ -125,9 +125,9 @@ def mini_corpus(tmp_path_factory):
 def test_cli_unknown_class_is_usage_error(tmp_path, capsys):
     rc = main(["synth", "--classes", "whirl", "--per-class", "1", "--out", str(tmp_path / "x")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "static" in err  # lists valid classes
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown class 'whirl', valid classes: static, tilt, pan, zoom, track"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_missing_clip_file_names_row(tmp_path, capsys):
@@ -371,11 +371,23 @@ def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
         "version": v, "seed": "5", "schema": "modern4", "domain": "modern"}
 
 
-def _features_file(tmp_path, *rows):
-    path = tmp_path / "features.csv"
-    path.write_text("# dgme-features seed=0\nclip_id,label,f0,f1\n"
-                    + "".join(row + "\n" for row in rows))
+def _features_file(tmp_path, *rows, name="features.csv", comment="seed=0"):
+    """A 117-column features table whose ``rows`` give two descriptor
+    values each, then 115 zeros; returns ``stats`` of it."""
+    path = tmp_path / name
+    path.write_text(f"# dgme-features {comment}\nclip_id,label,"
+                    + ",".join(f"f{i}" for i in range(117)) + "\n"
+                    + "".join(row + ",0" * 115 + "\n" for row in rows))
     return ["stats", "--features", str(path), "--out", str(tmp_path / "s.json")]
+
+
+def _stats_file(tmp_path, config_hash="h", mean=0.0, std=1.0):
+    """``s.json``: statistics of 117 features, ``mean`` and ``std`` in the
+    first dimension and 0 and 1 in the others."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"config_hash": config_hash, "count": 2,
+                                "mean": [mean] + [0.0] * 116, "std": [std] + [1.0] * 116}))
+    return str(path)
 
 
 def _y8seq_corpus(tmp_path, *clips, width=16, height=16):
@@ -402,23 +414,24 @@ def _pgm_dir_corpus(tmp_path, frame):
             "--frames-per-clip", "2", "--interval", "1", "--target-size", "16"]
 
 
-def _unit_mean_digest(std):
-    """``stats_digest`` of the two-feature statistics ``_eval_model`` writes."""
+def _unit_mean_digest(std, width=117):
+    """``stats_digest`` of the statistics ``_stats_file`` writes, cut to
+    ``width`` features."""
     return dgme.descriptor.stats_digest(
-        dgme.descriptor.NormStats([0.0, 0.0], [float(std), 1.0], 2, "h"))
+        dgme.descriptor.NormStats([0.0] * width, [float(std)] + [1.0] * (width - 1), 2, "h"))
 
 
 def _eval_model(tmp_path, weight=0.0, std=None):
-    """``eval`` of a hand-written descriptor-only head on two 2-d feature
+    """``eval`` of a hand-written descriptor-only head on two 117-d feature
     rows; a ``std`` adds a stats file and marks the head calibrated with
     those statistics."""
-    (tmp_path / "f.csv").write_text("# dgme-features seed=0 config_hash=h\n"
-                                    "clip_id,label,f0,f1\na,pan,0.1,0.2\nb,tilt,0.3,0.4\n")
+    _features_file(tmp_path, "a,pan,0.1,0.2", "b,tilt,0.3,0.4",
+                   name="f.csv", comment="seed=0 config_hash=h")
     (tmp_path / "split.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n")
     model = {"config_hash": "h", "mode": "dgme_only", "calibrated": std is not None,
              "class_names": ["static", "tilt", "pan", "zoom"], "backbone_dim": 0,
-             "descriptor_dim": 2, "alpha": 1.0, "ln_gain": [1.0, 1.0], "ln_bias": [0.0, 0.0],
-             "W": [[weight, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "b": [0.0] * 4}
+             "descriptor_dim": 117, "alpha": 1.0, "ln_gain": [1.0] * 117, "ln_bias": [0.0] * 117,
+             "W": [[weight] + [0.0] * 116] + [[0.0] * 117] * 3, "b": [0.0] * 4}
     if std is not None:
         model["stats_digest"] = _unit_mean_digest(std)
     (tmp_path / "m.json").write_text(json.dumps(model))
@@ -427,9 +440,7 @@ def _eval_model(tmp_path, weight=0.0, std=None):
             "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")]
     if std is None:
         return args
-    (tmp_path / "s.json").write_text(json.dumps(
-        {"config_hash": "h", "count": 2, "mean": [0.0, 0.0], "std": [std, 1.0]}))
-    return args + ["--stats", str(tmp_path / "s.json")]
+    return args + ["--stats", _stats_file(tmp_path, std=std)]
 
 
 def test_cli_hand_written_model_evaluates(tmp_path):
@@ -440,10 +451,9 @@ def test_cli_hand_written_model_evaluates(tmp_path):
 
 def _huge_int_in_stats_mean(tmp_path):
     _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
-    (tmp_path / "s.json").write_text(json.dumps(
-        {"config_hash": "", "count": 2, "mean": [10 ** 400, 0.0], "std": [1.0, 1.0]}))
     return ["normalize", "--features", str(tmp_path / "features.csv"),
-            "--stats", str(tmp_path / "s.json"), "--out", str(tmp_path / "n.csv")]
+            "--stats", _stats_file(tmp_path, "", mean=10 ** 400),
+            "--out", str(tmp_path / "n.csv")]
 
 
 def _model_field(tmp_path, key, value, **more):
@@ -468,17 +478,13 @@ def _seed_in_features_comment(tmp_path):
     _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
     path = tmp_path / "features.csv"
     path.write_text(path.read_text().replace("seed=0", "seed=abc"))
-    (tmp_path / "s.json").write_text(json.dumps(
-        {"config_hash": "", "count": 2, "mean": [0.0, 0.0], "std": [1.0, 1.0]}))
-    return ["normalize", "--features", str(path), "--stats", str(tmp_path / "s.json"),
+    return ["normalize", "--features", str(path), "--stats", _stats_file(tmp_path, ""),
             "--out", str(tmp_path / "n.csv")]
 
 
 def _with_stats(tmp_path, args, config_hash="h"):
-    """``args`` with ``--stats`` of unit statistics for two features."""
-    (tmp_path / "s.json").write_text(json.dumps(
-        {"config_hash": config_hash, "count": 2, "mean": [0.0, 0.0], "std": [1.0, 1.0]}))
-    return args + ["--stats", str(tmp_path / "s.json")]
+    """``args`` with ``--stats`` of unit statistics for 117 features."""
+    return args + ["--stats", _stats_file(tmp_path, config_hash)]
 
 
 def _on_calibrated_table(tmp_path, *argv):
@@ -500,8 +506,7 @@ def _features_without_hash(tmp_path):
 def _other_stats(tmp_path):
     """``_eval_model`` trained with std 2 statistics, evaluated with std 3 ones."""
     args = _eval_model(tmp_path, std=2.0)
-    (tmp_path / "s.json").write_text(json.dumps(
-        {"config_hash": "h", "count": 2, "mean": [0.0, 0.0], "std": [3.0, 1.0]}))
+    _stats_file(tmp_path, std=3.0)
     return args
 
 
@@ -524,6 +529,36 @@ def _model_without_digest(tmp_path):
     del model["stats_digest"]
     (tmp_path / "m.json").write_text(json.dumps(model))
     return args
+
+
+def _one_column_short(tmp_path, command):
+    """``command`` on ``_eval_model``'s calibrated files with the last
+    descriptor column dropped from the features table, header and rows,
+    and from the statistics and the model, so that all three agree on 116
+    columns and only the table's width is wrong."""
+    args = _eval_model(tmp_path, std=2.0)
+    path = tmp_path / "f.csv"
+    comment, *lines = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in
+                            [comment, *(line.rsplit(",", 1)[0] for line in lines)]))
+    fitted = json.loads((tmp_path / "s.json").read_text())
+    (tmp_path / "s.json").write_text(json.dumps(
+        {**fitted, "mean": fitted["mean"][:-1], "std": fitted["std"][:-1]}))
+    model = json.loads((tmp_path / "m.json").read_text())
+    model.update(descriptor_dim=116, ln_gain=model["ln_gain"][:-1],
+                 ln_bias=model["ln_bias"][:-1], W=[row[:-1] for row in model["W"]],
+                 stats_digest=_unit_mean_digest(2, width=116))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    features, stats, split = (str(tmp_path / n) for n in ("f.csv", "s.json", "split.csv"))
+    out = str(tmp_path / "out")
+    return {
+        "stats": ["stats", "--features", features, "--out", out],
+        "normalize": ["normalize", "--features", features, "--stats", stats, "--out", out],
+        "train": ["train", "--features", features, "--train", split, "--val", split,
+                  "--stats", stats, "--schema", "modern4", "--out", out],
+        "eval": args,
+        "viz": ["viz", "grid", "--features", features, "--clip-id", "a", "--out", out],
+    }[command]
 
 
 def _ragged_annotations(tmp_path):
@@ -558,7 +593,7 @@ def _schema_file(tmp_path, text):
     (lambda t: _pgm_dir_corpus(t, b"P5\n0 10\n255\n"),
      "f0.pgm is a 0x10 frame, a clip needs at least 1x1"),
     (lambda t: _y8seq_corpus(t, ("a/c0.y8seq", 2, "pan"), ("b/c0.y8seq", 2, "tilt")),
-     "row 2: clip id 'c0'"),
+     "annotations row 2 (c0) repeats the clip id of row 1 in "),
     (lambda t: _eval_model(t, weight=float("nan")), "m.json: non-finite number NaN"),
     (lambda t: _eval_model(t, std=float("nan")), "s.json: non-finite number NaN"),
     (_huge_int_in_stats_mean, "s.json: int too large to convert to float"),
@@ -566,7 +601,7 @@ def _schema_file(tmp_path, text):
     (lambda t: _model_field(t, "alpha", "inf"), "m.json: expected a number, got 'inf'"),
     (lambda t: _eval_model(t, std="nan"), "s.json: expected a number, got 'nan'"),
     (_ragged_annotations, "annotations row 2"),
-    (_repeated_clip_annotations, "row 3: clip id 'a' of x/a.y8seq duplicates row 1"),
+    (_repeated_clip_annotations, "annotations row 3 (a) repeats the clip id of row 1 in "),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
     (lambda t: _schema_file(t, '{"name": "my schema", "classes": ["pan"], "remap": {}}'),
@@ -605,6 +640,9 @@ def _schema_file(tmp_path, text):
      f"vs model trained with {_unit_mean_digest(2)!r}"),
     (_model_without_digest, f"statistics mismatch: features calibrated with "
                             f"{_unit_mean_digest(2)!r} vs model trained with None"),
+    *((lambda t, c=command: _one_column_short(t, c),
+       "f.csv have 116 descriptor columns, not 117")
+      for command in ("stats", "normalize", "train", "eval", "viz")),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -619,13 +657,17 @@ def _schema_file(tmp_path, text):
         "calibrated-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
         "model-hash-without-features-hash", "stats-of-calibrated-table",
         "stats-not-training-stats", "table-of-other-stats", "table-without-stats-digest",
-        "model-without-stats-digest"])
+        "model-without-stats-digest", "stats-116-columns", "normalize-116-columns",
+        "train-stats-116-columns", "eval-stats-116-columns", "viz-grid-116-columns"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
-    rc = main(make_args(tmp_path))
+    args = make_args(tmp_path)
+    files = sorted(tmp_path.rglob("*"))
+    rc = main(args)
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+    assert sorted(tmp_path.rglob("*")) == files  # no output file
 
 
 def test_cli_split_refuses_repeated_clip_id_before_writing(tmp_path):
@@ -890,8 +932,8 @@ def test_cli_out_dir_at_existing_file_is_refused(mini_corpus, tmp_path, capsys,
 
 def test_cli_synth_refuses_a_canvas_over_the_pixel_limit_before_writing(tmp_path, capsys,
                                                                        monkeypatch):
-    # 4096 px frames pass the frame limit, but this pan needs a 61,304 px
-    # canvas; a texture drawn anyway fails the test instead of allocating
+    # this pan of 4096 px frames needs a 61,304 px canvas; a texture drawn
+    # anyway fails the test instead of allocating
     monkeypatch.setattr(synth, "_texture", lambda *a: 1 / 0)
     out = tmp_path / "corpus"
     rc = main(["synth", "--classes", "pan", "--per-class", "1", "--out", str(out),
@@ -905,8 +947,9 @@ def test_cli_synth_refuses_a_canvas_over_the_pixel_limit_before_writing(tmp_path
 
 def test_cli_synth_refuses_frames_over_the_pixel_limit_before_writing(tmp_path, capsys,
                                                                       monkeypatch):
-    # a 4097 px frame is one pixel row over extract's limit; sizes like
-    # 100000 used to make the directory, then ask numpy for a 74.5 GiB canvas
+    # the canvas of a 4097 px frame is over extract's pixel limit, which
+    # bounds the frame too; sizes like 100000 used to make the directory,
+    # then ask numpy for a 74.5 GiB canvas
     rendered = []
     monkeypatch.setattr(synth, "make_clip", lambda spec: rendered.append(spec) or 1 / 0)
     out = tmp_path / "corpus"
@@ -914,7 +957,8 @@ def test_cli_synth_refuses_frames_over_the_pixel_limit_before_writing(tmp_path, 
                "--size", "4097", "--frames", "2"])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: a 4097x4097 frame holds more than {dgme.videoio.MAX_FRAME_PIXELS} pixels"]
+        "error: a 4097 px static clip needs a 4107x4107 texture canvas, "
+        f"more than {dgme.videoio.MAX_FRAME_PIXELS} pixels"]
     assert rendered == [] and not out.exists()
     assert synth.SynthSpec("static", size=4096).size == 4096
 
