@@ -247,11 +247,12 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_features(path, stats_path=None, model_meta=None):
+def _read_features(path, stats_path=None, model_meta=None, raw=False):
     """Read the features table at ``path``, z-score it with the statistics at
     ``stats_path``, and refuse what may not be combined with it:
 
-    - statistics are fitted on, and applied to, raw tables only;
+    - statistics are fitted on and applied to, and views drawn from, raw
+      tables only: ``raw`` (stats, viz) or ``stats_path`` refuses a calibrated one;
     - a model trained calibrated takes a calibrated table or ``stats_path``,
       and a model trained raw takes raw features of its own domain only;
     - features, statistics and model carry one config hash; a missing hash
@@ -265,10 +266,10 @@ def _read_features(path, stats_path=None, model_meta=None):
     """
     meta, clip_ids, labels, matrix = dsc.read_features_csv(path)
     calibrated = meta.get("calibrated") == "true"
+    if calibrated and (raw or stats_path is not None):
+        raise DataError(f"features {path} are already calibrated")
     hashes = {}
     if stats_path is not None:
-        if calibrated:
-            raise DataError(f"features {path} are already calibrated")
         stats, _ = dsc.read_stats_json(stats_path)
         hashes["stats"], calibrated = stats.config_hash, True
         meta["stats_digest"] = dsc.stats_digest(stats)
@@ -297,9 +298,7 @@ def _read_features(path, stats_path=None, model_meta=None):
 
 
 def cmd_stats(args) -> int:
-    meta, _, _, matrix, calibrated = _read_features(args.features)
-    if calibrated:
-        raise DataError(f"features {args.features} are already calibrated")
+    meta, _, _, matrix, _ = _read_features(args.features, raw=True)
     cfg_hash = meta.get("config_hash", "")
     stats = dsc.fit_stats(matrix, cfg_hash)
     dsc.write_stats_json(args.out, stats, _out_meta(args.seed, cfg_hash, source=meta))
@@ -316,9 +315,12 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def _load_annotated(path, schema) -> tuple[dict, ev.AnnotatedSet]:
+def _load_annotated(path, schema, unique=False) -> tuple[dict, ev.AnnotatedSet]:
+    """Annotations by clip id, remapped; ``unique`` refuses repeats, which oversampling makes."""
     meta, rows = ev.read_annotations_csv(path)
     raw = [(clip_id(p), label) for p, label in rows]
+    if unique:
+        refuse_repeated_ids("annotations", path, (cid for cid, _ in raw))
     return meta, ev.remap_labels(raw, schema)
 
 
@@ -436,16 +438,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    model_options = {"--model": args.model, "--features": args.features, "--stats": args.stats,
+                     "--clips": args.clips, "--out-predictions": args.out_predictions}
+    given = [name for name, value in model_options.items() if value is not None]
+    if args.predictions is not None and given:
+        raise UsageError(f"--predictions cannot be combined with {', '.join(given)}")
+    if args.predictions is None and (args.model is None or args.features is None):
+        raise UsageError("eval needs either --predictions or both --model and --features")
     schema = ev.load_schema(args.schema)
-    _, truth = _load_annotated(args.split, schema)
+    _, truth = _load_annotated(args.split, schema, unique=True)
 
     if args.predictions is not None:
         _, rows = ev.read_annotations_csv(args.predictions)
         predictions = [(clip_id(p), label) for p, label in rows]
+        refuse_repeated_ids("predictions", args.predictions, (cid for cid, _ in predictions))
         seed = args.seed
     else:
-        if args.model is None or args.features is None:
-            raise UsageError("eval needs either --predictions or both --model and --features")
         params, model_meta = mdl.load_model_json(args.model)
         if params.class_names != list(schema.classes):
             raise DataError(
@@ -467,10 +475,10 @@ def cmd_eval(args) -> int:
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
         seed = _meta_int(model_meta, "seed", args.seed, args.model)
-        if args.out_predictions:
-            ev.write_annotations_csv(args.out_predictions, predictions, _out_meta(seed))
 
     cm, report = ev.evaluate(predictions, truth)
+    if args.out_predictions:
+        ev.write_annotations_csv(args.out_predictions, predictions, _out_meta(seed))
     out_meta = _out_meta(seed, schema=schema.name)
     ev.write_metrics_json(args.out_metrics, report, schema.classes, out_meta)
     ev.write_confusion_csv(args.out_confusion, cm, out_meta)
@@ -480,8 +488,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    meta, clip_ids, labels, matrix = dsc.read_features_csv(args.features)
-    svg_meta = _out_meta(meta.get("seed", 0), meta.get("config_hash"))
+    meta, clip_ids, labels, matrix, _ = _read_features(args.features, raw=True)
+    svg_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash"))
 
     if args.kind == "rose":
         if args.label is None:

@@ -216,13 +216,10 @@ def metrics_from_confusion(counts: np.ndarray) -> MetricsReport:
 
 def evaluate(predictions: list[tuple[str, str]],
              truth: AnnotatedSet) -> tuple[ConfusionMatrix, MetricsReport]:
-    """Score predictions against ground truth; ids must match exactly."""
+    """Score predictions against ground truth, one row per clip id in each
+    (``dgme eval`` refuses repeats as it reads them); ids must match exactly."""
     truth_map = dict(truth.entries)
-    if len(truth_map) != len(truth.entries):
-        raise DataError("duplicate clip ids in truth set")
     pred_map = dict(predictions)
-    if len(pred_map) != len(predictions):
-        raise DataError("duplicate clip ids in predictions")
     missing = sorted(set(truth_map) - set(pred_map))
     extra = sorted(set(pred_map) - set(truth_map))
     if missing or extra:

@@ -573,6 +573,31 @@ def _repeated_clip_annotations(tmp_path):
             "--out-dir", str(tmp_path / "splits")]
 
 
+def _repeated_split_id(tmp_path):
+    """``_eval_model`` with ``--out-predictions``, on a split that lists clip
+    a twice."""
+    args = _eval_model(tmp_path) + ["--out-predictions", str(tmp_path / "p.csv")]
+    (tmp_path / "split.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n"
+                                        "x/a.y8seq,pan\n")
+    return args
+
+
+def _scored_predictions(tmp_path, split_rows, prediction_rows):
+    """``eval --predictions`` of ``prediction_rows`` against ``split_rows``."""
+    (tmp_path / "split.csv").write_text("clip_path,label\n" + split_rows)
+    (tmp_path / "p.csv").write_text("clip_path,label\n" + prediction_rows)
+    return ["eval", "--split", str(tmp_path / "split.csv"), "--schema", "modern4",
+            "--predictions", str(tmp_path / "p.csv"),
+            "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")]
+
+
+def _viz(tmp_path, comment, *view):
+    """``viz`` ``view`` of a two-row table whose metadata is ``comment``."""
+    _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4", comment=comment)
+    return ["viz", *view, "--features", str(tmp_path / "features.csv"),
+            "--out", str(tmp_path / "v.svg")]
+
+
 def _schema_file(tmp_path, text):
     (tmp_path / "schema.json").write_text(text)
     return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", str(tmp_path / "schema.json"),
@@ -643,6 +668,19 @@ def _schema_file(tmp_path, text):
     *((lambda t, c=command: _one_column_short(t, c),
        "f.csv have 116 descriptor columns, not 117")
       for command in ("stats", "normalize", "train", "eval", "viz")),
+    (lambda t: _viz(t, "seed=0 calibrated=true", "rose", "--label", "pan"),
+     "features.csv are already calibrated"),
+    (lambda t: _viz(t, "seed=0 calibrated=true", "grid", "--clip-id", "a"),
+     "features.csv are already calibrated"),
+    (lambda t: _viz(t, "seed=abc", "grid", "--clip-id", "a"),
+     "features.csv: seed must be an integer, got 'abc'"),
+    (_repeated_split_id, "annotations row 3 (a) repeats the clip id of row 1 in "),
+    (lambda t: _scored_predictions(t, "a.y8seq,pan\nb.y8seq,tilt\n",
+                                   "a.y8seq,pan\nb.y8seq,tilt\nx/a.y8seq,tilt\n"),
+     "predictions row 3 (a) repeats the clip id of row 1 in "),
+    (lambda t: _scored_predictions(t, "a.y8seq,pan\nb.y8seq,tilt\na.y8seq,motion\n",
+                                   "a.y8seq,pan\nb.y8seq,tilt\n"),
+     "annotations row 3 (a) repeats the clip id of row 1 in "),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -658,7 +696,10 @@ def _schema_file(tmp_path, text):
         "model-hash-without-features-hash", "stats-of-calibrated-table",
         "stats-not-training-stats", "table-of-other-stats", "table-without-stats-digest",
         "model-without-stats-digest", "stats-116-columns", "normalize-116-columns",
-        "train-stats-116-columns", "eval-stats-116-columns", "viz-grid-116-columns"])
+        "train-stats-116-columns", "eval-stats-116-columns", "viz-grid-116-columns",
+        "viz-rose-calibrated-table", "viz-grid-calibrated-table", "string-viz-seed",
+        "eval-split-repeated-clip-id", "eval-predictions-repeated-clip-id",
+        "eval-split-repeats-a-dropped-row"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     files = sorted(tmp_path.rglob("*"))
@@ -670,11 +711,18 @@ def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     assert sorted(tmp_path.rglob("*")) == files  # no output file
 
 
-def test_cli_split_refuses_repeated_clip_id_before_writing(tmp_path):
-    # annotations listing every clip twice used to split with test clips in
-    # train too; the error line is a row of test_cli_bad_input_is_data_error
-    assert main(_repeated_clip_annotations(tmp_path)) == 2
-    assert not (tmp_path / "splits").exists()
+@pytest.mark.parametrize("option", ["--model", "--features", "--stats", "--clips",
+                                    "--out-predictions"])
+def test_cli_eval_predictions_takes_no_model_option(tmp_path, capsys, option):
+    # the model mode's options mean nothing next to --predictions; taking them
+    # silently hid a mixed-up command line
+    args = _scored_predictions(tmp_path, "a.y8seq,pan\n", "a.y8seq,pan\n")
+    files = sorted(tmp_path.rglob("*"))
+    rc = main(args + [option, str(tmp_path / "other")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --predictions cannot be combined with {option}"]
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_cli_model_takes_a_table_calibrated_with_its_statistics(tmp_path):
