@@ -1,10 +1,10 @@
-"""Shared bilinear sampling helpers and the Gaussian kernel.
+"""Shared bilinear sampling helpers, the Gaussian kernel and the filters.
 
 All resampling in the toolkit goes through these functions so that
 frame loading, flow warping, and clip synthesis agree bit-for-bit on
 interpolation conventions: half-pixel centers for whole-image resize,
 edge clamping for out-of-range coordinates. ``gaussian_kernel`` gives
-synth's blur and flow's polynomial applicability their weights.
+the Gaussian blur and flow's polynomial applicability their weights.
 
 Sampling and resizing take several equally shaped planes and compute the
 neighbour indices and weights once for all of them. A whole-image resize
@@ -12,9 +12,24 @@ is separable: its row and column coordinates are computed on 1-D axes and
 the four neighbours are gathered by rows, then by columns, with the same
 products in the same order as sampling the full coordinate grid, so the
 two agree bit for bit.
+
+The filters are scipy's compiled ndimage filters, called without the
+``scipy.ndimage`` package around them: its import costs about 0.3 s and
+20 MB and pulls in much of scipy, while the one compiled module
+``scipy/ndimage/_nd_image`` loads in under a millisecond. This is the
+only module that reaches scipy. ``correlate1d``, ``box_mean1d`` and
+``gaussian_blur`` give the bytes of ``scipy.ndimage``'s ``correlate1d``,
+``uniform_filter1d`` and ``gaussian_filter`` with ``mode="mirror"``
+(reflect-101 borders, reflected again and again where a plane is shorter
+than the filter), origin 0, on float64 input.
 """
 
 from __future__ import annotations
+
+import functools
+import importlib.util
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -143,3 +158,51 @@ def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
     return weights / weights.sum()
+
+
+# scipy's boundary-mode code of "mirror", reflect-101
+_MIRROR = 3
+
+
+@functools.cache
+def _nd_image():
+    """scipy's compiled ndimage module, loaded from its file once per
+    process; finding scipy's install directory does not import it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(scipy.submodule_search_locations[0]) / "ndimage"
+    for suffix in EXTENSION_SUFFIXES:
+        path = folder / f"_nd_image{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.ndimage._nd_image", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled ndimage filters (_nd_image) not found in {folder}")
+
+
+def correlate1d(img: np.ndarray, weights: np.ndarray, axis: int,
+                out: np.ndarray) -> np.ndarray:
+    """Correlate ``img`` along ``axis`` with the contiguous float64
+    ``weights`` into ``out``, which may be ``img`` itself."""
+    _nd_image().correlate1d(img, weights, axis, out, _MIRROR, 0.0, 0)
+    return out
+
+
+def box_mean1d(img: np.ndarray, size: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Mean of ``img`` over a ``size`` px box along ``axis``, into ``out``."""
+    _nd_image().uniform_filter1d(img, size, axis, out, _MIRROR, 0.0, 0)
+    return out
+
+
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """A blurred copy of the 2-D float64 ``img``. Like ``gaussian_filter``,
+    sigma <= 1e-15 does not blur, and the kernel spans ``int(4 * sigma +
+    0.5)`` px a side; it is symmetric bit for bit, so correlating with it
+    is convolving. Axis 0 goes first, then axis 1 in place."""
+    if sigma <= 1e-15:
+        return img.copy()
+    weights = gaussian_kernel(int(4.0 * sigma + 0.5), sigma)
+    out = correlate1d(img, weights, 0, np.empty(img.shape))
+    return correlate1d(out, weights, 1, out)

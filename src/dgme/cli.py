@@ -20,7 +20,7 @@ import dgme
 from dgme import descriptor as dsc
 from dgme import evaluation as ev
 from dgme import model as mdl
-from dgme import flow, synth, viz
+from dgme import synth, viz
 from dgme._meta import refuse_repeated_ids
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
@@ -231,10 +231,6 @@ def cmd_extract(args) -> int:
     if workers <= 1:
         results = [_extract_one(t) for t in tasks]
     else:
-        # flow imports scipy lazily; load it before the fork so the workers
-        # share its pages instead of each importing its own copy
-        flow.preload_scipy()
-
         # map's default chunk size, ceil(len(tasks) / (4 * workers)), cuts at
         # least one chunk per worker; results come back in task order
         with multiprocessing.Pool(workers) as pool:
@@ -401,9 +397,12 @@ def cmd_train(args) -> int:
         raise UsageError("--mode fusion requires --clips for backbone embeddings")
 
     meta, clip_ids, _, matrix, calibrated = _read_features(args.features, args.stats)
+    # oversampling repeats training clips on purpose; early stopping scores
+    # each validation clip once
     (train_ids, x_train, y_train), (val_ids, x_val, y_val) = (
-        _join_split(path, _load_annotated(path, schema)[1], args.features, clip_ids, matrix)
-        for path in (args.train_split, args.val_split))
+        _join_split(path, _load_annotated(path, schema, unique)[1], args.features,
+                    clip_ids, matrix)
+        for path, unique in ((args.train_split, False), (args.val_split, True)))
 
     provider = None
     xb_train = xb_val = None

@@ -38,12 +38,11 @@ dropped frames, get the all-zero field at once. The full solve returns the
 same bytes there (every value +0.0): the warp by zero displacement is
 exact and leaves a zero right-hand side.
 
-The filters are ``scipy.ndimage``'s, with reflect-101 borders:
-``gaussian_filter`` blurs the pyramid, ``correlate1d`` expands and
-``uniform_filter1d`` is the box window. This is the only module that
-imports scipy, inside the functions that filter, so a command that
-computes no flow never loads it; ``preload_scipy`` imports it ahead of
-a fork.
+The filters are scipy's compiled ndimage filters with reflect-101
+borders, called through ``dgme._resample`` without the ``scipy.ndimage``
+package: ``gaussian_blur`` blurs the pyramid, ``correlate1d`` expands and
+``box_mean1d`` is the box window. The compiled module loads at the first
+filter call, so a command that computes no flow never loads it.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dgme._resample import (gaussian_kernel, resize_bilinear, resize_bilinear_planes,
-                            sample_bilinear_planes)
+from dgme._resample import (box_mean1d, correlate1d, gaussian_blur, gaussian_kernel,
+                            resize_bilinear, resize_bilinear_planes, sample_bilinear_planes)
 from dgme.errors import DataError
 
 # regularizer added to the 2x2 determinant; keeps flat regions at exactly
@@ -109,12 +108,6 @@ class PolarFlow:
         return self.m.shape[1]
 
 
-def preload_scipy() -> None:
-    """Import ``scipy.ndimage`` now instead of at the first filter, so that
-    worker processes forked after this call share its pages."""
-    import scipy.ndimage  # noqa: F401
-
-
 def _poly_expand(img: np.ndarray):
     """Per-pixel quadratic fit coefficients.
 
@@ -124,8 +117,6 @@ def _poly_expand(img: np.ndarray):
     separable correlations. Returns (a11, a22, a12, bx, by) where the
     quadratic form matrix is A = [[a11, a12], [a12, a22]] (a12 = axy/2).
     """
-    from scipy.ndimage import correlate1d
-
     half = POLY_N // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = gaussian_kernel(half, POLY_SIGMA)
@@ -138,15 +129,15 @@ def _poly_expand(img: np.ndarray):
     # result planes, each result then finished in place
     t0, t1, t2, v1 = np.empty((4,) + img.shape)
     a11, a22, a12, bx, by = np.empty((5,) + img.shape)
-    correlate1d(img, g, axis=0, output=t0, mode="mirror")
-    correlate1d(img, xg, axis=0, output=t1, mode="mirror")
-    correlate1d(img, xxg, axis=0, output=t2, mode="mirror")
-    correlate1d(t0, g, axis=1, output=v1, mode="mirror")
-    correlate1d(t0, xg, axis=1, output=bx, mode="mirror")
-    correlate1d(t0, xxg, axis=1, output=a11, mode="mirror")
-    correlate1d(t1, g, axis=1, output=by, mode="mirror")
-    correlate1d(t1, xg, axis=1, output=a12, mode="mirror")
-    correlate1d(t2, g, axis=1, output=a22, mode="mirror")
+    correlate1d(img, g, 0, t0)
+    correlate1d(img, xg, 0, t1)
+    correlate1d(img, xxg, 0, t2)
+    correlate1d(t0, g, 1, v1)
+    correlate1d(t0, xg, 1, bx)
+    correlate1d(t0, xxg, 1, a11)
+    correlate1d(t1, g, 1, by)
+    correlate1d(t1, xg, 1, a12)
+    correlate1d(t2, g, 1, a22)
 
     # normal equations decouple: the only coupled block is (c, axx, ayy)
     # bx = vx / s2, by = vy / s2
@@ -172,10 +163,10 @@ def _window_mean(planes: np.ndarray, rows: np.ndarray | None = None) -> np.ndarr
     takes from its workspace; it is allocated when not given.
     Borders reflect without repeating the edge pixel (reflect-101), again
     and again where a plane is narrower than the window."""
-    from scipy.ndimage import uniform_filter1d
-
-    rows = uniform_filter1d(planes, WINDOW_SIZE, axis=1, output=rows, mode="mirror")
-    return uniform_filter1d(rows, WINDOW_SIZE, axis=2, output=planes, mode="mirror")
+    if rows is None:
+        rows = np.empty(planes.shape)
+    box_mean1d(planes, WINDOW_SIZE, 1, rows)
+    return box_mean1d(rows, WINDOW_SIZE, 2, planes)
 
 
 # the float64 planes of the workspace that ``farneback_flow`` allocates
@@ -274,8 +265,6 @@ def _pyramid_sizes(h: int, w: int) -> list[tuple[int, int]]:
 def _expand_frame(frame: np.ndarray) -> tuple:
     """Polynomial expansion of one frame at each pyramid level (level 0 is
     full resolution), as read-only arrays."""
-    from scipy.ndimage import gaussian_filter
-
     img = frame.astype(np.float64)
     levels = []
     for level, (hh, ww) in enumerate(_pyramid_sizes(*frame.shape)):
@@ -285,7 +274,7 @@ def _expand_frame(frame: np.ndarray) -> tuple:
             # each level is built from the original image with a matched
             # anti-alias blur, not by repeated halving
             sigma = (1.0 / (PYRAMID_SCALE ** level) - 1.0) * 0.5
-            p = resize_bilinear(gaussian_filter(img, sigma, mode="mirror"), hh, ww)
+            p = resize_bilinear(gaussian_blur(img, sigma), hh, ww)
         exp = _poly_expand(p)
         for a in exp:
             a.flags.writeable = False

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from dgme._meta import write_table
-from dgme._resample import gaussian_kernel, resize_bilinear, sample_bilinear_planes
+from dgme._resample import gaussian_blur, resize_bilinear, sample_bilinear_planes
 from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
 
 CLASSES = ("static", "tilt", "pan", "zoom", "track")
@@ -212,74 +212,23 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
     )
 
 
-def _gaussian_blur(frames: np.ndarray, sigma: float) -> None:
-    """Overwrite each frame of an (n, h, w) float64 stack with
-    ``scipy.ndimage.gaussian_filter(frame, sigma, mode="mirror")``, bit for
-    bit, in numpy.
-
-    It reproduces scipy's steps: no blur at all for sigma <= 1e-15 (the
-    weights would be NaN), scipy's kernel (``gaussian_kernel``) over the
-    radius ``int(4 * sigma + 0.5)``, reflect-101 borders folded again and
-    again where a frame is shorter than the kernel, rows before columns,
-    and each output pixel summed as scipy's C loop sums a symmetric
-    kernel: the centre tap times its weight, then ``(x[-k] + x[+k]) *
-    w[k]`` from the outermost pair inward. Each pass reads a padded copy
-    of the frame, so it can write the frame itself.
-    """
-    if sigma <= 1e-15:
-        return
-    radius = int(4.0 * sigma + 0.5)
-    weights = gaussian_kernel(radius, sigma)
-
-    # one padded buffer per pass, reused by every frame; taps[j] views it
-    # shifted by j - radius along the pass's axis
-    passes = []
-    for axis, n in enumerate(frames.shape[1:]):
-        # reflect-101 source of each padded position; the fold has period
-        # 2n - 2, and a one-pixel side repeats its pixel
-        period = max(2 * n - 2, 1)
-        index = np.abs(np.arange(-radius, n + radius)) % period
-        index = np.where(index < n, index, period - index)
-        shape = list(frames.shape[1:])
-        shape[axis] += 2 * radius
-        padded = np.empty(shape)
-        taps = [padded[(slice(None),) * axis + (slice(j, j + n),)]
-                for j in range(2 * radius + 1)]
-        passes.append((axis, index, padded, taps))
-
-    pair = np.empty(frames.shape[1:])
-    for frame in frames:
-        for axis, index, padded, taps in passes:
-            np.take(frame, index, axis=axis, out=padded, mode="clip")
-            np.multiply(taps[radius], weights[radius], out=frame)
-            for k in range(radius, 0, -1):
-                np.add(taps[radius - k], taps[radius + k], out=pair)
-                pair *= weights[radius - k]
-                frame += pair
-
-
 def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
     """Simulated archival degradation, applied in a fixed order:
     contrast compression about 128, Gaussian blur, per-frame brightness
     flicker, additive Gaussian noise, then frame drops realized as
-    duplications of the previous (already degraded) frame.
-
-    The blur is ``_gaussian_blur``, a numpy port of scipy's
-    ``gaussian_filter`` in ``mode="mirror"`` that gives the same bytes,
-    so ``synth`` never loads scipy."""
+    duplications of the previous (already degraded) frame."""
     rng = np.random.default_rng(spec.rng_seed)
     n = seq.frame_count
     flicker = rng.uniform(-spec.flicker_amp, spec.flicker_amp, size=n)
     noise = rng.normal(0.0, 1.0, size=seq.frames.shape) * spec.noise_sigma
     drops = rng.random(n - 1) < spec.drop_prob
 
-    # contrast_scale * (f - 128) + 128, in place in the stack the blur overwrites
+    # contrast_scale * (f - 128) + 128, in place
     f = seq.frames.astype(np.float64)
     f -= 128.0
     f *= spec.contrast_scale
     f += 128.0
-    _gaussian_blur(f, spec.blur_sigma)
-    out = [to_u8(f[t] + flicker[t] + noise[t]) for t in range(n)]
+    out = [to_u8(gaussian_blur(f[t], spec.blur_sigma) + flicker[t] + noise[t]) for t in range(n)]
     for t in range(1, n):
         if drops[t - 1]:
             out[t] = out[t - 1]

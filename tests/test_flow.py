@@ -3,12 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import blurred_noise
-from dgme import flow, synth
+from dgme import _resample, flow, synth
 from dgme._resample import (
+    box_mean1d,
+    correlate1d,
+    gaussian_blur,
+    gaussian_kernel,
     resize_bilinear,
     resize_bilinear_planes,
     sample_bilinear_planes,
@@ -261,6 +266,41 @@ def test_window_mean_matches_per_pixel_reflect101_box(h, w, n_planes, seed):
     out = flow._window_mean(planes)
     assert out is planes
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 4), (7, 14), (15, 16), (40, 33)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_compiled_filters_match_public_scipy_bit_for_bit(shape):
+    # the filters call scipy's private compiled module with the argument
+    # order of scipy 1.17.1; the public functions check them (gaussian_blur
+    # in test_synth). Planes narrower than the 15 px box and 1 px wide fold
+    # their reflect-101 borders again and again
+    rng = np.random.default_rng(sum(shape))
+    img = rng.random(shape) * 255.0
+    x = np.arange(-2.0, 3.0)
+    g = gaussian_kernel(2, flow.POLY_SIGMA)
+    for weights in (g, x * g, x * x * g, rng.normal(size=7)):
+        for axis in (0, 1):
+            theirs = scipy.ndimage.correlate1d(img, weights, axis=axis, mode="mirror")
+            ours = correlate1d(img, weights, axis, np.empty(shape))
+            assert ours.tobytes() == theirs.tobytes()
+            in_place = img.copy()
+            assert correlate1d(in_place, weights, axis, in_place) is in_place
+            assert in_place.tobytes() == theirs.tobytes()
+    planes = rng.normal(size=(3,) + shape)
+    for axis in (1, 2):
+        theirs = scipy.ndimage.uniform_filter1d(planes, 15, axis=axis, mode="mirror")
+        assert box_mean1d(planes, 15, axis, np.empty(planes.shape)).tobytes() == theirs.tobytes()
+
+
+def test_missing_compiled_filters_name_the_directory_searched(monkeypatch):
+    monkeypatch.setattr(_resample, "EXTENSION_SUFFIXES", [".missing"])
+    _resample._nd_image.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"\(_nd_image\) not found in .*/scipy/ndimage$"):
+            gaussian_blur(np.ones((3, 3)), 1.0)
+    finally:
+        _resample._nd_image.cache_clear()
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from scipy.ndimage import gaussian_filter
 
 from dgme import synth
+from dgme._resample import gaussian_blur
 from dgme.videoio import read_y8seq
 from oracles import block_match_flow
 
@@ -200,7 +201,7 @@ def test_make_corpus_deterministic(tmp_path):
 
 def test_historical_corpus_bytes_pinned(tmp_path):
     # recorded when degradation blurred with scipy.ndimage.gaussian_filter;
-    # the numpy port must give the same bytes
+    # the shared compiled blur must give the same bytes
     synth.make_corpus(tmp_path / "small", list(synth.CLASSES), 2, "historical",
                       seed=9, size=64, frames=4)
     assert _tree_digest(tmp_path / "small") == (
@@ -212,13 +213,12 @@ def test_historical_corpus_bytes_pinned(tmp_path):
 
 @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 3), (7, 9), (40, 40), (256, 256)],
                          ids=lambda shape: "x".join(map(str, shape)))
-@pytest.mark.parametrize("sigma", [1e-16, 0.4, 0.8, 1.2, 2.7])
+@pytest.mark.parametrize("sigma", [1e-16, 0.4, 0.5, 0.8, 1.2, 1.5, 2.7])
 def test_gaussian_blur_matches_scipy_bit_for_bit(shape, sigma):
-    frames = np.random.default_rng(sum(shape)).random((2,) + shape) * 255.0
-    theirs = [gaussian_filter(frame, sigma=sigma, mode="mirror") for frame in frames]
-    synth._gaussian_blur(frames, sigma)
-    for ours, their in zip(frames, theirs):
-        assert ours.tobytes() == their.tobytes()
+    # degradation's blur and, at sigma 0.5 and 1.5, the flow pyramid's
+    frame = np.random.default_rng(sum(shape)).random(shape) * 255.0
+    theirs = gaussian_filter(frame, sigma=sigma, mode="mirror")
+    assert gaussian_blur(frame, sigma).tobytes() == theirs.tobytes()
 
 
 def test_make_corpus_historical_contains_duplicate_frames(tmp_path):

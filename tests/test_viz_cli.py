@@ -582,6 +582,17 @@ def _repeated_split_id(tmp_path):
     return args
 
 
+def _repeated_val_id(tmp_path):
+    """``train`` on ``_eval_model``'s two-row table with a ``--val`` split
+    that lists clip a twice."""
+    _eval_model(tmp_path)
+    (tmp_path / "val.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n"
+                                      "x/a.y8seq,pan\n")
+    return ["train", "--features", str(tmp_path / "f.csv"), "--train", str(tmp_path / "split.csv"),
+            "--val", str(tmp_path / "val.csv"), "--schema", "modern4",
+            "--out", str(tmp_path / "out.json")]
+
+
 def _scored_predictions(tmp_path, split_rows, prediction_rows):
     """``eval --predictions`` of ``prediction_rows`` against ``split_rows``."""
     (tmp_path / "split.csv").write_text("clip_path,label\n" + split_rows)
@@ -681,6 +692,7 @@ def _schema_file(tmp_path, text):
     (lambda t: _scored_predictions(t, "a.y8seq,pan\nb.y8seq,tilt\na.y8seq,motion\n",
                                    "a.y8seq,pan\nb.y8seq,tilt\n"),
      "annotations row 3 (a) repeats the clip id of row 1 in "),
+    (_repeated_val_id, "annotations row 3 (a) repeats the clip id of row 1 in "),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -699,7 +711,7 @@ def _schema_file(tmp_path, text):
         "train-stats-116-columns", "eval-stats-116-columns", "viz-grid-116-columns",
         "viz-rose-calibrated-table", "viz-grid-calibrated-table", "string-viz-seed",
         "eval-split-repeated-clip-id", "eval-predictions-repeated-clip-id",
-        "eval-split-repeats-a-dropped-row"])
+        "eval-split-repeats-a-dropped-row", "train-val-repeated-clip-id"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     files = sorted(tmp_path.rglob("*"))
@@ -1148,73 +1160,78 @@ def _fresh_python(code, *args):
 
 
 # runs the commands of argv lists given as JSON; prints the name of the
-# first command after which scipy was loaded ('import' if importing did it)
+# first command after which the scipy package (scipy or scipy.ndimage) was
+# loaded ('import' if importing did it). Each clip's flow also checks it,
+# in the pool worker that ran it under extract --jobs 2
 _SCIPY_PROBE = ("import json, sys\n"
                 "import dgme.cli\n"
-                "loaded = ['import'] if 'scipy' in sys.modules else []\n"
+                "def scipy_package():\n"
+                "    return sorted({'scipy', 'scipy.ndimage'} & set(sys.modules))\n"
+                "extract_one = dgme.cli._extract_one\n"
+                "def checked_extract_one(task):\n"
+                "    result = extract_one(task)\n"
+                "    assert not scipy_package(), f'flow loaded {scipy_package()}'\n"
+                "    return result\n"
+                "dgme.cli._extract_one = checked_extract_one\n"
+                "loaded = ['import'] if scipy_package() else []\n"
                 "for argv in json.loads(sys.argv[1]):\n"
                 "    assert dgme.cli.main(argv) == 0, argv\n"
-                "    if 'scipy' in sys.modules and not loaded:\n"
+                "    if scipy_package() and not loaded:\n"
                 "        loaded.append(argv[0])\n"
                 "print(json.dumps(loaded))\n")
 
 
+def _never_loads_scipy(commands):
+    child = _fresh_python(_SCIPY_PROBE, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []
+
+
 def test_cli_head_commands_never_load_scipy(mini_corpus, tmp_path):
-    # only flow (extract) uses scipy, whose import took most of each
-    # command's start-up; ``_train_args`` splits in this process first, and
-    # the child's split writes the same files again
+    # ``_train_args`` splits in this process first, and the child's split
+    # writes the same files again
     model = tmp_path / "m.json"
-    commands = [
+    _never_loads_scipy([
         _split_args(mini_corpus, tmp_path / "splits"),
         _train_args(mini_corpus, tmp_path),
         ["eval", "--split", str(tmp_path / "splits" / "test.csv"), "--schema", "modern4",
          "--model", str(model), "--features", str(mini_corpus / "features.csv"),
          "--out-metrics", str(tmp_path / "mm.json"), "--out-confusion", str(tmp_path / "c.csv")],
-    ]
-    child = _fresh_python(_SCIPY_PROBE, json.dumps(commands))
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == []
+    ])
     assert model.is_file()
 
 
 def test_cli_synth_never_loads_scipy(tmp_path):
-    # historical clips are blurred by synth's numpy port of gaussian_filter
-    commands = [["synth", "--classes", "pan,zoom", "--per-class", "1", "--domain", domain,
-                 "--size", "32", "--frames", "3", "--out", str(tmp_path / domain)]
-                for domain in ("historical", "modern")]
-    child = _fresh_python(_SCIPY_PROBE, json.dumps(commands))
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == []
+    # historical clips are blurred by the compiled gaussian filter alone
+    _never_loads_scipy([["synth", "--classes", "pan,zoom", "--per-class", "1",
+                         "--domain", domain, "--size", "32", "--frames", "3",
+                         "--out", str(tmp_path / domain)]
+                        for domain in ("historical", "modern")])
     assert len(list((tmp_path / "historical").glob("*.y8seq"))) == 2
 
 
-def test_only_flow_imports_scipy():
-    # flow is the one module that filters with scipy; any other import of
-    # it would load scipy into commands that compute no flow
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_extract_never_loads_the_scipy_package(tmp_path, jobs):
+    # the flow filters through scipy's compiled module alone; the package's
+    # import cost about 0.3 s and 20 MB per process
+    synth.make_corpus(tmp_path / "c", ["pan", "zoom"], 1, "modern", seed=0, size=32, frames=3)
+    _never_loads_scipy([["extract", "--ann", str(tmp_path / "c" / "annotations.csv"),
+                         "--out", str(tmp_path / "f.csv"), "--frames-per-clip", "3",
+                         "--interval", "1", "--target-size", "32", "--jobs", jobs]])
+    assert len(read_features_csv(tmp_path / "f.csv")[1]) == 2
+
+
+def test_no_module_imports_scipy():
+    # ``_resample`` loads scipy's compiled ndimage module from its file; an
+    # import statement would load the package into every command
     importers = set()
-    for path in Path(dgme.__file__).parent.glob("*.py"):
+    for path in Path(dgme.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.name)
-    assert importers == {"flow.py"}
-
-
-def test_cli_extract_loads_scipy_before_the_pool_forks(tmp_path):
-    # workers forked after the import share scipy's pages instead of each
-    # importing a copy of their own, which raised extract's peak RSS
-    code = ("import sys\n"
-            "import dgme.cli\n"
-            "def pool(processes):\n"
-            "    # stands in for multiprocessing.Pool and ends the run\n"
-            "    sys.exit(0 if 'scipy.ndimage' in sys.modules else 'scipy not loaded at the fork')\n"
-            "dgme.cli.multiprocessing.Pool = pool\n"
-            "dgme.cli.main(sys.argv[1:])\n"
-            "sys.exit('extract built no pool')\n")
-    args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), ("c1.y8seq", 2, "tilt"))
-    child = _fresh_python(code, *args, "--jobs", "2")
-    assert child.returncode == 0, child.stderr
+    assert importers == set()
 
 
 def _embed_per_row(clips_dir, clip_ids, seed, dim=dgme.model.EMBED_DIM):
