@@ -129,9 +129,10 @@ def read_json(path, kind: str) -> dict:
 def numbers(value):
     """``value`` if it is a JSON number or nested lists of them, else a
     ValueError: ``float()`` and numpy would parse ``"nan"`` out of a string,
-    past read_json's finite-only rule."""
+    past read_json's finite-only rule, and take ``true`` as 1, since a bool
+    is an int."""
     if isinstance(value, list):
         return [numbers(item) for item in value]
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise ValueError(f"expected a number, got {value!r:.40}")

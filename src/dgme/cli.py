@@ -163,7 +163,7 @@ def _out_meta(seed, cfg_hash: str | None = None, schema: str | None = None,
     return meta
 
 
-def _meta_int(meta: dict, key: str, default: int, path, minimum: int | None = None) -> int:
+def _meta_int(meta: dict, key: str, default: int, path) -> int:
     """Integer field ``key`` of the metadata read from ``path`` (``default``
     when absent); anything else is a data error naming the file and key."""
     value = meta.get(key, default)
@@ -171,9 +171,8 @@ def _meta_int(meta: dict, key: str, default: int, path, minimum: int | None = No
         number = int(value) if type(value) in (int, str) else None
     except ValueError:
         number = None
-    if number is None or (minimum is not None and number < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise DataError(f"{path}: {key} must be an integer{bound}, got {value!r}")
+    if number is None:
+        raise DataError(f"{path}: {key} must be an integer, got {value!r}")
     return number
 
 
@@ -200,9 +199,9 @@ def cmd_synth(args) -> int:
 
 # module-level worker so multiprocessing can pickle it
 def _extract_one(task):
-    index, clip_path, sampling, magnitude_threshold = task
-    seq = load_clip(clip_path, sampling)
-    return index, dsc.compute_dgme(seq, magnitude_threshold)
+    # the task keeps its row index: perfbench's tracer reads the path at task[1]
+    _, clip_path, sampling, magnitude_threshold = task
+    return dsc.compute_dgme(load_clip(clip_path, sampling), magnitude_threshold)
 
 
 def cmd_extract(args) -> int:
@@ -235,7 +234,7 @@ def cmd_extract(args) -> int:
         # least one chunk per worker; results come back in task order
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_extract_one, tasks)
-    matrix = np.array([values for _, values in results]).reshape(-1, dsc.DESCRIPTOR_LENGTH)
+    matrix = np.array(results).reshape(-1, dsc.DESCRIPTOR_LENGTH)
     labels = [label for _, label in rows]
     dsc.write_features_csv(args.out, clip_ids, labels, matrix,
                            _out_meta(args.seed, cfg_hash, source=meta))
@@ -418,14 +417,11 @@ def cmd_train(args) -> int:
     model_meta = _out_meta(args.seed, cfg_hash)
     model_meta.update(
         {
-            "mode": mode,
             "schema": schema.name,
             "calibrated": calibrated,
             "stats_digest": meta.get("stats_digest"),
             "train_domain": meta.get("domain"),
             "embedding": provider.descriptor if provider else None,
-            "embed_seed": args.seed if provider else None,
-            "embed_dim": provider.dimension if provider else None,
         }
     )
     mdl.save_model_json(args.out, params, model_meta)
@@ -461,19 +457,17 @@ def cmd_eval(args) -> int:
             )
         _, clip_ids, _, matrix, _ = _read_features(args.features, args.stats, model_meta)
         ids, X, y = _join_split(args.split, truth, args.features, clip_ids, matrix)
+        seed = _meta_int(model_meta, "seed", args.seed, args.model)
         backbone = None
-        if model_meta.get("mode") == "fusion":
+        if params.backbone_dim > 0:
+            # a fusion head: the stub that trained it, at its seed and width
             if args.clips is None:
                 raise UsageError("evaluating a fusion model requires --clips")
-            embed_seed = _meta_int(model_meta, "embed_seed", 0, args.model, 0)
-            embed_dim = _meta_int(model_meta, "embed_dim", mdl.EMBED_DIM, args.model, 0)
-            if embed_dim != params.backbone_dim:
-                raise DataError(f"{args.model}: embed_dim {embed_dim} is not the head's "
-                                f"backbone_dim {params.backbone_dim}")
-            backbone, _ = _embed_clips(args.clips, ids, embed_seed, embed_dim)
+            if seed < 0:  # numpy's seeding would refuse it as a bad option
+                raise DataError(f"{args.model}: a fusion model's seed must be >= 0, got {seed}")
+            backbone, _ = _embed_clips(args.clips, ids, seed, params.backbone_dim)
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
         predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
-        seed = _meta_int(model_meta, "seed", args.seed, args.model)
 
     cm, report = ev.evaluate(predictions, truth)
     if args.out_predictions:

@@ -13,9 +13,9 @@ AdamW with a cosine-annealed learning rate and early stopping on
 validation macro F1; gradients are fully analytic and verified against
 central finite differences in the test suite.
 
-The backbone itself is pluggable: anything exposing ``embed(seq)`` with a
-fixed output dimension works. ``StubEmbeddingProvider`` supplies a cheap
-deterministic stand-in built from intensity statistics.
+The one backbone is ``StubEmbeddingProvider``, a cheap deterministic
+stand-in built from intensity statistics. Its seed and width are the
+model's ``seed`` and the head's ``backbone_dim``.
 """
 
 from __future__ import annotations
@@ -351,7 +351,6 @@ class StubEmbeddingProvider:
     """
 
     def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
-        self.dimension = dim
         self.descriptor = f"stub-intensity-motion-v1(seed={seed},dim={dim})"
         self._projection = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
         self._projection /= np.sqrt(_STATS_WIDTH)

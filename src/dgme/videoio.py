@@ -125,7 +125,7 @@ def read_y8seq(path) -> FrameSequence:
         raise DataError(
             f"truncated y8seq payload in {path}: expected {expected} bytes, have {len(data)}"
         )
-    frames = np.frombuffer(data[16:], dtype=np.uint8).reshape(count, height, width)
+    frames = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, height, width)
     return FrameSequence(frames.copy(), clip_id=clip_id(path))
 
 

@@ -100,5 +100,13 @@ def test_every_artifact_matches_the_manifest(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_sequence(Path(tmp))
+    recorded = json.loads(MANIFEST.read_text()) if MANIFEST.is_file() else {}
+    for path in sorted(recorded.keys() | digests.keys()):
+        if path not in digests:
+            print(f"disappeared {path}")
+        elif path not in recorded:
+            print(f"appeared {path}")
+        elif digests[path] != recorded[path]:
+            print(f"moved {path}")
     MANIFEST.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests in {MANIFEST}", file=sys.stderr)

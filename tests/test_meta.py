@@ -77,8 +77,8 @@ def test_json_keeps_ints_and_floats_in_range(tmp_path):
 
 
 def test_numbers_refuses_strings_numpy_would_parse():
-    assert numbers([[1, 2.5], [True, -3.0]]) == [[1, 2.5], [True, -3.0]]
-    for bad in ("nan", ["1e999"], [[1.0], [None]]):
+    assert numbers([[1, 2.5], [0, -3.0]]) == [[1, 2.5], [0, -3.0]]
+    for bad in ("nan", ["1e999"], [[1.0], [None]], [[1, 2.5], [True, -3.0]], False):
         with pytest.raises(ValueError, match="expected a number"):
             numbers(bad)
 

@@ -382,7 +382,6 @@ def test_stub_embedding_black_clip_matches_manual_projection():
 
 def test_stub_provider_interface():
     provider = StubEmbeddingProvider(seed=1, dim=32)
-    assert provider.dimension == 32
     assert "seed=1" in provider.descriptor
     emb = provider.embed(_black_clip())
     assert emb.shape == (32,)

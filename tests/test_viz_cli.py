@@ -211,7 +211,6 @@ def test_cli_split_train_eval_round_trip(mini_corpus, tmp_path, capsys):
                "--out", str(model), "--epochs", "3", "--batch-size", "8"])
     assert rc == 0
     payload = json.loads(model.read_text())
-    assert payload["mode"] == "fusion"
     assert payload["calibrated"] is True
     assert payload["backbone_dim"] == 64
 
@@ -237,6 +236,35 @@ def test_cli_split_train_eval_round_trip(mini_corpus, tmp_path, capsys):
                "--out-metrics", str(metrics2), "--out-confusion", str(tmp_path / "c2.csv")])
     assert rc == 0
     assert json.loads(metrics2.read_text())["macro_f1"] == report["macro_f1"]
+
+
+def test_cli_model_with_old_embedding_fields_evaluates_the_same(mini_corpus, tmp_path):
+    # older model files restate the head's kind, seed and width as mode,
+    # embed_seed and embed_dim; eval reads the head, so they change no byte
+    corpus = mini_corpus / "corpus"
+    features = mini_corpus / "features.csv"
+    splits = tmp_path / "splits"
+    assert main(["split", "--ann", str(corpus / "annotations.csv"), "--schema", "modern4",
+                 "--seed", "5", "--out-dir", str(splits)]) == 0
+    model = tmp_path / "new.json"
+    assert main(["train", "--features", str(features), "--train", str(splits / "train.csv"),
+                 "--val", str(splits / "val.csv"), "--mode", "fusion", "--clips", str(corpus),
+                 "--schema", "modern4", "--seed", "5", "--out", str(model),
+                 "--epochs", "2", "--batch-size", "8"]) == 0
+    payload = json.loads(model.read_text())
+    assert not {"mode", "embed_seed", "embed_dim"} & payload.keys()
+    (tmp_path / "old.json").write_text(json.dumps(
+        {**payload, "mode": "fusion", "embed_seed": 5, "embed_dim": 64}, indent=1))
+
+    outputs = {}
+    for name in ("new", "old"):
+        out = [tmp_path / f"{name}_{kind}" for kind in ("pred.csv", "metrics.json", "cm.csv")]
+        assert main(["eval", "--split", str(splits / "test.csv"), "--schema", "modern4",
+                     "--model", str(tmp_path / f"{name}.json"), "--features", str(features),
+                     "--clips", str(corpus), "--out-predictions", str(out[0]),
+                     "--out-metrics", str(out[1]), "--out-confusion", str(out[2])]) == 0
+        outputs[name] = [path.read_bytes() for path in out]
+    assert outputs["new"] == outputs["old"]
 
 
 def test_cli_fusion_without_clips_is_usage_error(mini_corpus, tmp_path, capsys):
@@ -449,11 +477,11 @@ def test_cli_hand_written_model_evaluates(tmp_path):
     assert main(_eval_model(tmp_path, std=2.0)) == 0
 
 
-def _huge_int_in_stats_mean(tmp_path):
+def _normalize(tmp_path, **stats):
+    """``normalize`` of a two-row table with ``_stats_file(**stats)``."""
     _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
     return ["normalize", "--features", str(tmp_path / "features.csv"),
-            "--stats", _stats_file(tmp_path, "", mean=10 ** 400),
-            "--out", str(tmp_path / "n.csv")]
+            "--stats", _stats_file(tmp_path, "", **stats), "--out", str(tmp_path / "n.csv")]
 
 
 def _model_field(tmp_path, key, value, **more):
@@ -464,14 +492,6 @@ def _model_field(tmp_path, key, value, **more):
     model.update(more)
     (tmp_path / "m.json").write_text(json.dumps(model))
     return args
-
-
-def _fusion_model_field(tmp_path, key, value):
-    """``_model_field`` of a fusion head, with both clips under ``--clips``."""
-    for cid in ("a", "b"):
-        (tmp_path / f"{cid}.y8seq").write_bytes(
-            b"Y8SQ" + struct.pack("<III", 16, 16, 2) + bytes(512))
-    return _model_field(tmp_path, key, value, mode="fusion") + ["--clips", str(tmp_path)]
 
 
 def _seed_in_features_comment(tmp_path):
@@ -632,24 +652,24 @@ def _schema_file(tmp_path, text):
      "annotations row 2 (c0) repeats the clip id of row 1 in "),
     (lambda t: _eval_model(t, weight=float("nan")), "m.json: non-finite number NaN"),
     (lambda t: _eval_model(t, std=float("nan")), "s.json: non-finite number NaN"),
-    (_huge_int_in_stats_mean, "s.json: int too large to convert to float"),
+    (lambda t: _normalize(t, mean=10 ** 400), "s.json: int too large to convert to float"),
     (lambda t: _model_field(t, "alpha", 10 ** 400), "m.json: int too large to convert to float"),
     (lambda t: _model_field(t, "alpha", "inf"), "m.json: expected a number, got 'inf'"),
     (lambda t: _eval_model(t, std="nan"), "s.json: expected a number, got 'nan'"),
+    (lambda t: _model_field(t, "alpha", True), "m.json: expected a number, got True"),
+    (lambda t: _normalize(t, std=True), "s.json: expected a number, got True"),
     (_ragged_annotations, "annotations row 2"),
     (_repeated_clip_annotations, "annotations row 3 (a) repeats the clip id of row 1 in "),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
     (lambda t: _schema_file(t, '{"name": '), "malformed schema file"),
     (lambda t: _schema_file(t, '{"name": "my schema", "classes": ["pan"], "remap": {}}'),
      "schema.json: schema name must be one token, got 'my schema'"),
-    (lambda t: _fusion_model_field(t, "embed_seed", None),
-     "m.json: embed_seed must be an integer >= 0, got None"),
-    (lambda t: _fusion_model_field(t, "embed_dim", -3),
-     "m.json: embed_dim must be an integer >= 0, got -3"),
-    (lambda t: _fusion_model_field(t, "embed_dim", 10**12),
-     "m.json: embed_dim 1000000000000 is not the head's backbone_dim 0"),
+    (lambda t: _model_field(t, "backbone_dim", 10 ** 12),
+     "m.json: W must be (4, 1000000000117) and b (4,), got (4, 117), (4,)"),
     (lambda t: _model_field(t, "seed", "abc"), "m.json: seed must be an integer, got 'abc'"),
     (lambda t: _model_field(t, "seed", None), "m.json: seed must be an integer, got None"),
+    (lambda t: _model_field(t, "seed", -1, backbone_dim=64, W=[[0.0] * 181] * 4)
+     + ["--clips", str(t)], "m.json: a fusion model's seed must be >= 0, got -1"),
     (_seed_in_features_comment, "features.csv: seed must be an integer, got 'abc'"),
     (lambda t: _model_field(t, "class_names", ["zoom", "pan", "tilt", "static"]),
      "model classes ['zoom', 'pan', 'tilt', 'static'] do not match the classes "
@@ -697,11 +717,12 @@ def _schema_file(tmp_path, text):
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
-        "string-model-alpha", "string-stats-std", "ragged-annotations-row",
-        "split-repeated-clip-id",
+        "string-model-alpha", "string-stats-std", "boolean-model-alpha", "boolean-stats-std",
+        "ragged-annotations-row", "split-repeated-clip-id",
         "schema-without-classes", "malformed-schema", "schema-name-with-space",
-        "null-embed-seed", "negative-embed-dim", "embed-dim-not-backbone-dim",
-        "string-model-seed", "null-model-seed", "string-features-seed",
+        "model-backbone-dim-not-weight-width",
+        "string-model-seed", "null-model-seed", "negative-fusion-model-seed",
+        "string-features-seed",
         "model-classes-not-schema-classes",
         "normalize-calibrated-table", "train-stats-on-calibrated-table",
         "calibrated-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
