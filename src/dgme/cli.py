@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -19,8 +18,6 @@ import numpy as np
 import dgme
 from dgme import descriptor as dsc
 from dgme import evaluation as ev
-from dgme import model as mdl
-from dgme import synth, viz
 from dgme._meta import refuse_repeated_ids
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
@@ -52,6 +49,18 @@ def _out_dir(value: str) -> str:
     return value
 
 
+def _seed(value: str) -> int:
+    """A ``--seed`` option: an integer >= 0, as numpy's generators take; a
+    negative one is refused while the options are parsed."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dgme", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dgme {dgme.__version__}")
@@ -62,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated class names (static,tilt,pan,zoom,track)")
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--domain", choices=("modern", "historical"), default="modern")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--size", type=int, default=128)
     p.add_argument("--frames", type=int, default=12)
@@ -78,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-per-clip", type=int, default=12)
     p.add_argument("--interval", type=int, default=6)
     p.add_argument("--target-size", type=int, default=224)
-    p.add_argument("--seed", type=int, default=0, help="recorded in artifact metadata")
+    p.add_argument("--seed", type=_seed, default=0, help="recorded in artifact metadata")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="fit per-dimension calibration statistics")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, type=_out_file)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("normalize", help="apply calibration statistics to features")
@@ -96,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="stratified train/val/test split of annotations")
     p.add_argument("--ann", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True, type=_out_dir)
     p.set_defaults(func=cmd_split)
 
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True, help="training split CSV")
     p.add_argument("--schema", required=True)
     p.add_argument("--targets", required=True, help="class=count,class=count,...")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_oversample)
 
@@ -116,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None, help="calibration statistics JSON")
     p.add_argument("--clips", default=None, help="corpus dir (needed for fusion embeddings)")
     p.add_argument("--schema", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--log", default=None, type=_out_file)
     p.add_argument("--epochs", type=int, default=12)
@@ -134,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-metrics", required=True, type=_out_file)
     p.add_argument("--out-confusion", required=True, type=_out_file)
     p.add_argument("--out-predictions", default=None, type=_out_file)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("viz", help="render descriptor visualizations as SVG")
@@ -177,6 +186,8 @@ def _meta_int(meta: dict, key: str, default: int, path) -> int:
 
 
 def cmd_synth(args) -> int:
+    from dgme import synth
+
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not classes:
         raise UsageError("no classes given")
@@ -232,6 +243,8 @@ def cmd_extract(args) -> int:
     else:
         # map's default chunk size, ceil(len(tasks) / (4 * workers)), cuts at
         # least one chunk per worker; results come back in task order
+        import multiprocessing
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_extract_one, tasks)
     matrix = np.array(results).reshape(-1, dsc.DESCRIPTOR_LENGTH)
@@ -361,32 +374,36 @@ def cmd_oversample(args) -> int:
 
 
 def _join_split(split_path, split, features_path, clip_ids, matrix):
-    """Rows of a features table for the annotated ``split``: (ids, X, y indices)."""
+    """Rows of a features table for the annotated ``split``: the distinct clip
+    ids it names in first-seen order, their rows of ``matrix``, and each
+    entry's row among them and class index."""
     index = {cid: i for i, cid in enumerate(clip_ids)}
-    ids, ys = [], []
+    distinct: dict[str, int] = {}
+    rows, ys = [], []
     for cid, label in split.entries:
         if cid not in index:
             raise DataError(f"clip {cid} from {split_path} missing in features {features_path}")
-        ids.append(cid)
+        rows.append(distinct.setdefault(cid, len(distinct)))
         ys.append(split.schema.index(label))
-    return ids, matrix[[index[c] for c in ids]], np.array(ys, dtype=np.int64)
+    ids = list(distinct)
+    return (ids, matrix[[index[c] for c in ids]], np.array(rows, dtype=np.int64),
+            np.array(ys, dtype=np.int64))
 
 
-def _embed_clips(clips_dir, clip_ids, seed, dim=mdl.EMBED_DIM):
-    """Embedding rows for ``clip_ids`` in order; each distinct clip is read
-    and embedded once, however often an oversampled split repeats it."""
+def _embed_clips(clips_dir, clip_ids, seed, dim):
+    """Stub embedding rows of width ``dim`` for ``clip_ids`` in order, each
+    clip read and embedded by the provider seeded with ``seed``."""
+    from dgme import model as mdl
+
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
     root = Path(clips_dir)
-    embedded = {}
-    for cid in clip_ids:
-        if cid in embedded:
-            continue
-        embedded[cid] = provider.embed(read_y8seq(root / f"{cid}.y8seq"))
-    rows = [embedded[cid] for cid in clip_ids]
+    rows = [provider.embed(read_y8seq(root / f"{cid}.y8seq")) for cid in clip_ids]
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim), provider
 
 
 def cmd_train(args) -> int:
+    from dgme import model as mdl
+
     schema = ev.load_schema(args.schema)
     mode = "dgme_only" if args.mode == "dgme-only" else "fusion"
     if mode == "fusion" and args.stats is None:
@@ -396,9 +413,10 @@ def cmd_train(args) -> int:
         raise UsageError("--mode fusion requires --clips for backbone embeddings")
 
     meta, clip_ids, _, matrix, calibrated = _read_features(args.features, args.stats)
-    # oversampling repeats training clips on purpose; early stopping scores
-    # each validation clip once
-    (train_ids, x_train, y_train), (val_ids, x_val, y_val) = (
+    # oversampling repeats training clips on purpose, and each repeat is a
+    # row index into the clip's one feature row; early stopping scores each
+    # validation clip once
+    (train_ids, x_train, r_train, y_train), (val_ids, x_val, r_val, y_val) = (
         _join_split(path, _load_annotated(path, schema, unique)[1], args.features,
                     clip_ids, matrix)
         for path, unique in ((args.train_split, False), (args.val_split, True)))
@@ -406,12 +424,13 @@ def cmd_train(args) -> int:
     provider = None
     xb_train = xb_val = None
     if mode == "fusion":
-        xb, provider = _embed_clips(args.clips, train_ids + val_ids, args.seed)
+        xb, provider = _embed_clips(args.clips, train_ids + val_ids, args.seed, mdl.EMBED_DIM)
         xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
     cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
-    params, log = mdl.train(list(schema.classes), mdl.LabeledFeatures(x_train, y_train, xb_train),
-                            mdl.LabeledFeatures(x_val, y_val, xb_val), cfg)
+    params, log = mdl.train(list(schema.classes),
+                            mdl.LabeledFeatures(x_train, y_train, xb_train, r_train),
+                            mdl.LabeledFeatures(x_val, y_val, xb_val, r_val), cfg)
 
     cfg_hash = meta.get("config_hash", "")
     model_meta = _out_meta(args.seed, cfg_hash)
@@ -433,6 +452,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from dgme import model as mdl
+
     model_options = {"--model": args.model, "--features": args.features, "--stats": args.stats,
                      "--clips": args.clips, "--out-predictions": args.out_predictions}
     given = [name for name, value in model_options.items() if value is not None]
@@ -456,7 +477,7 @@ def cmd_eval(args) -> int:
                 f"{list(schema.classes)} of schema {schema.name}"
             )
         _, clip_ids, _, matrix, _ = _read_features(args.features, args.stats, model_meta)
-        ids, X, y = _join_split(args.split, truth, args.features, clip_ids, matrix)
+        ids, X, rows, y = _join_split(args.split, truth, args.features, clip_ids, matrix)
         seed = _meta_int(model_meta, "seed", args.seed, args.model)
         backbone = None
         if params.backbone_dim > 0:
@@ -466,8 +487,9 @@ def cmd_eval(args) -> int:
             if seed < 0:  # numpy's seeding would refuse it as a bad option
                 raise DataError(f"{args.model}: a fusion model's seed must be >= 0, got {seed}")
             backbone, _ = _embed_clips(args.clips, ids, seed, params.backbone_dim)
-        pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone), params)
-        predictions = [(cid, schema.classes[k]) for cid, k in zip(ids, pred_idx)]
+        pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone, rows), params)
+        predictions = [(cid, schema.classes[k])
+                       for (cid, _), k in zip(truth.entries, pred_idx)]
 
     cm, report = ev.evaluate(predictions, truth)
     if args.out_predictions:
@@ -481,6 +503,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    from dgme import viz
+
     meta, clip_ids, labels, matrix, _ = _read_features(args.features, raw=True)
     svg_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash"))
 

@@ -17,7 +17,6 @@ unit norm.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +66,8 @@ def config_hash(magnitude_threshold: float) -> str:
     Farneback settings, including the kind of averaging window
     (``flow.WINDOW_KIND``), so artifacts made with the earlier Gaussian
     window are refused."""
+    import hashlib
+
     payload = json.dumps({
         "dgme": {"grid": GRID, "directional_bins": DIRECTIONAL_BINS,
                  "magnitude_threshold": magnitude_threshold},
@@ -82,6 +83,8 @@ def stats_digest(stats: NormStats) -> str:
     """Stable short hash of the statistics' mean and std (their float64
     bytes), which calibrated tables and models record to name the
     statistics that calibrated them."""
+    import hashlib
+
     payload = stats.mean.astype("<f8").tobytes() + stats.std.astype("<f8").tobytes()
     return hashlib.sha256(payload).hexdigest()[:12]
 

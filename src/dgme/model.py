@@ -89,22 +89,30 @@ class TrainConfig:
 
 @dataclass
 class LabeledFeatures:
-    """Aligned rows of one dataset split, as the head reads them."""
+    """One dataset split as the head reads it: one feature row per distinct
+    clip, and a label and a clip row per sample, so that an oversampled
+    split repeats row indices, not rows."""
 
-    dgme: np.ndarray               # (N, D)
+    dgme: np.ndarray               # (R, D)
     labels: np.ndarray             # (N,) int class indices
-    backbone: np.ndarray | None = None  # (N, C); None is the empty (N, 0) block
+    backbone: np.ndarray | None = None  # (R, C); None is the empty (R, 0) block
+    rows: np.ndarray | None = None      # (N,) feature row of each sample; None is each row once
 
     def __post_init__(self):
         self.dgme = np.asarray(self.dgme, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = self.dgme.shape[0]
-        if self.labels.shape[0] != n:
-            raise ValueError("dgme and labels must align")
+        r = self.dgme.shape[0]
+        if self.rows is None:
+            self.rows = np.arange(r)
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        if self.rows.shape != self.labels.shape:
+            raise ValueError("labels and rows must align")
+        if self.rows.size and not 0 <= self.rows.min() <= self.rows.max() < r:
+            raise ValueError(f"rows must index the {r} feature rows")
         if self.backbone is None:
-            self.backbone = np.zeros((n, 0))
+            self.backbone = np.zeros((r, 0))
         self.backbone = np.asarray(self.backbone, dtype=np.float64)
-        if self.backbone.shape[0] != n:
+        if self.backbone.shape[0] != r:
             raise ValueError("backbone rows must align with dgme rows")
 
 
@@ -204,14 +212,14 @@ def init_params(class_names, backbone_dim: int, descriptor_dim: int,
 
 
 def predict(features: LabeledFeatures, params: FusionHeadParams) -> np.ndarray:
-    """Predicted class index per clip."""
+    """Predicted class index per sample; each feature row is scored once."""
     width, dim = features.backbone.shape[1], features.dgme.shape[1]
     if width != params.backbone_dim:
         raise DataError(f"embedding dim {width} does not match head ({params.backbone_dim})")
     if dim != params.descriptor_dim:
         raise DataError(f"descriptor dim {dim} does not match head ({params.descriptor_dim})")
     probs, _, _, _ = _forward_batch(features.backbone, features.dgme, params)
-    return probs.argmax(axis=1)
+    return probs.argmax(axis=1)[features.rows]
 
 
 def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
@@ -265,9 +273,10 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
         lr = LR_MAX
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
+            rows = train_set.rows[idx]
             lr = cosine_lr(global_step, total_steps)
             loss, grads = backward(
-                train_set.backbone[idx], train_set.dgme[idx], train_set.labels[idx], params
+                train_set.backbone[rows], train_set.dgme[rows], train_set.labels[idx], params
             )
             losses.append(loss)
             adam_t += 1
@@ -326,11 +335,14 @@ _STATS_WIDTH = _HIST_BINS + _ENERGY_GRID * _ENERGY_GRID
 
 def _clip_statistics(seq: FrameSequence) -> np.ndarray:
     frames = seq.frames.astype(np.float64)
+    # one count of frame * bins + bin over the clip; a u8 value's bin is value >> 3
+    n = seq.frame_count
+    bins = np.arange(n)[:, None] * _HIST_BINS + (seq.frames.reshape(n, -1) >> 3)
+    counts = np.bincount(bins.ravel(), minlength=n * _HIST_BINS).reshape(n, _HIST_BINS)
     hist = np.zeros(_HIST_BINS, dtype=np.float64)
-    for f in seq.frames:
-        counts, _ = np.histogram(f, bins=_HIST_BINS, range=(0, 256))
-        hist += counts / f.size
-    hist /= seq.frame_count
+    for frame_counts in counts:  # each frame's share, in frame order
+        hist += frame_counts / (seq.height * seq.width)
+    hist /= n
 
     diffs = np.abs(np.diff(frames, axis=0)).mean(axis=0)  # (H, W)
     energies = np.array([

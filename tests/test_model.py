@@ -19,6 +19,7 @@ from dgme.model import (
     save_model_json,
     softmax,
     train,
+    write_training_log,
 )
 from dgme.videoio import FrameSequence
 
@@ -350,6 +351,30 @@ def test_training_matches_golden_log(width, monkeypatch):
     keys = ("epoch", "step", "lr", "train_loss", "val_macro_f1", "alpha")
     rows = "\n".join(" ".join(f"{row[k]:.9g}" for k in keys) for row in log)
     assert (rows, f"{params.alpha:.9g}") == GOLDEN_TRAINING[width]
+
+
+@pytest.mark.parametrize("width", [0, 4])
+def test_training_through_rows_matches_materialized_rows(tmp_path, width):
+    # an oversampled split keeps each clip's feature row once and repeats its
+    # index; every batch holds the values the repeated rows themselves would
+    distinct, val_set = _separable_toy(n_per_class=6, seed=7), _separable_toy(seed=8)
+    if width:
+        distinct, val_set = _with_backbone(distinct, width, 12), _with_backbone(val_set, width, 13)
+    rows = np.random.default_rng(14).integers(0, 12, size=40)
+    through_rows = LabeledFeatures(distinct.dgme, distinct.labels[rows], distinct.backbone, rows)
+    materialized = LabeledFeatures(distinct.dgme[rows], distinct.labels[rows],
+                                   distinct.backbone[rows])
+    cfg = TrainConfig(epochs=4, batch_size=8, seed=2)
+    written = []
+    for name, train_set in (("rows", through_rows), ("materialized", materialized)):
+        params, log = train(["a", "b"], train_set, val_set, cfg)
+        save_model_json(tmp_path / f"{name}.json", params, {})
+        write_training_log(tmp_path / f"{name}.csv", log, {})
+        written.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")])
+        assert np.array_equal(predict(through_rows, params), predict(materialized, params))
+    assert written[0] == written[1]
+    with pytest.raises(ValueError, match="rows must index the 12 feature rows"):
+        LabeledFeatures(distinct.dgme, [0], rows=[12])
 
 
 # ---------------------------------------------------------------------------

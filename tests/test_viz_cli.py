@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -906,7 +907,7 @@ def pool_maps(monkeypatch):
             maps.append((self.processes, math.ceil(len(tasks) / chunksize)))
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(dgme.cli.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return maps
 
 
@@ -1131,6 +1132,33 @@ def test_cli_repeated_class_is_usage_error(mini_corpus, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "split", "oversample", "train"])
+def test_cli_negative_seed_is_refused_as_an_option(mini_corpus, tmp_path, capsys, command):
+    # each used to exit 1 with numpy's bare "expected non-negative integer",
+    # naming neither the option nor its value
+    splits = tmp_path / "splits"
+    if command == "synth":
+        out = tmp_path / "corpus"
+        args = ["synth", "--classes", "pan", "--per-class", "1", "--out", str(out),
+                "--size", "32", "--frames", "3"]
+    elif command == "split":
+        out = splits
+        args = _split_args(mini_corpus, splits)
+    elif command == "oversample":
+        assert main(_split_args(mini_corpus, splits)) == 0
+        out = tmp_path / "os.csv"
+        args = ["oversample", "--split", str(splits / "train.csv"), "--schema", "modern4",
+                "--targets", "pan=5", "--out", str(out)]
+    else:
+        out = tmp_path / "m.json"
+        args = _train_args(mini_corpus, tmp_path)
+    capsys.readouterr()
+    rc = main(args + ["--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: argument --seed: must be >= 0, got -1"]
+    assert not out.exists()
+
+
 def test_cli_oversample_target_for_absent_class(tmp_path, capsys):
     split = tmp_path / "train.csv"
     split.write_text("clip_path,label\n" + "".join(
@@ -1255,7 +1283,50 @@ def test_no_module_imports_scipy():
     assert importers == set()
 
 
-def _embed_per_row(clips_dir, clip_ids, seed, dim=dgme.model.EMBED_DIM):
+# runs the commands of argv lists given as JSON in one interpreter and prints,
+# after the import and after each command, which of the watched modules are loaded
+_MODULES_PROBE = ("import json, sys\n"
+                  "import dgme.cli\n"
+                  "watched = {'dgme.synth', 'dgme.viz', 'multiprocessing', 'hashlib'}\n"
+                  "loaded = [['import', sorted(watched & set(sys.modules))]]\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert dgme.cli.main(argv) == 0, argv\n"
+                  "    loaded.append([argv[0], sorted(watched & set(sys.modules))])\n"
+                  "print(json.dumps(loaded))\n")
+
+
+def test_cli_head_commands_load_only_the_modules_they_run(mini_corpus, tmp_path):
+    # no head command synthesizes, draws or pools, and stats hashes nothing;
+    # each of these modules was imported by every command. split and oversample
+    # load hashlib with numpy.random, whose import loads secrets and hmac
+    features, corpus = str(mini_corpus / "features.csv"), str(mini_corpus / "corpus")
+    stats, splits, oversampled = (str(tmp_path / n) for n in ("s.json", "splits", "os.csv"))
+    train = ["train", "--features", features, "--train", oversampled,
+             "--val", str(tmp_path / "splits" / "val.csv"), "--schema", "modern4",
+             "--stats", stats, "--epochs", "1", "--clips", corpus]
+    commands = [
+        ["stats", "--features", features, "--out", stats],
+        _split_args(mini_corpus, splits),
+        ["oversample", "--split", str(tmp_path / "splits" / "train.csv"), "--schema", "modern4",
+         "--targets", "static=9,tilt=9,pan=9,zoom=9", "--out", oversampled],
+        ["normalize", "--features", features, "--stats", stats, "--out", str(tmp_path / "z.csv")],
+        train + ["--mode", "dgme-only", "--out", str(tmp_path / "d.json")],
+        train + ["--mode", "fusion", "--out", str(tmp_path / "f.json")],
+        ["eval", "--split", str(tmp_path / "splits" / "test.csv"), "--schema", "modern4",
+         "--model", str(tmp_path / "f.json"), "--features", features, "--stats", stats,
+         "--clips", corpus, "--out-metrics", str(tmp_path / "m.json"),
+         "--out-confusion", str(tmp_path / "c.csv")],
+    ]
+    child = _fresh_python(_MODULES_PROBE, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert [name for name, _ in loaded] == ["import"] + [argv[0] for argv in commands]
+    assert [name for name, modules in loaded
+            if {"dgme.synth", "dgme.viz", "multiprocessing"} & set(modules)] == []
+    assert loaded[:2] == [["import", []], ["stats", []]]
+
+
+def _embed_per_row(clips_dir, clip_ids, seed, dim):
     """Reference for ``cli._embed_clips``: reads and embeds every row, with
     the projection drawn per clip by a provider of its own."""
     rows = [dgme.model.StubEmbeddingProvider(seed=seed, dim=dim).embed(
