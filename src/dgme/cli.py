@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -59,6 +60,36 @@ def _seed(value: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+# file options by dest, named as on the command line: the files a command
+# writes, and the files it reads
+_OUTPUT_FILES = {"out": "--out", "log": "--log", "out_metrics": "--out-metrics",
+                 "out_confusion": "--out-confusion", "out_predictions": "--out-predictions"}
+_INPUT_FILES = {"ann": "--ann", "features": "--features", "stats": "--stats",
+                "train_split": "--train", "val_split": "--val", "split": "--split",
+                "model": "--model", "predictions": "--predictions"}
+_SPLIT_PARTS = ("train", "val", "test")
+
+
+def _refuse_overwrites(args) -> None:
+    """Refuse, before a command reads anything, an output that names the same
+    file as another output or as an input: a later write would replace it."""
+    files = [(flag, getattr(args, dest, None)) for dest, flag in _OUTPUT_FILES.items()]
+    if getattr(args, "out_dir", None) is not None:
+        files += [(f"--out-dir's {part}.csv", os.path.join(args.out_dir, f"{part}.csv"))
+                  for part in _SPLIT_PARTS]
+    outputs = len(files)
+    files += [(flag, getattr(args, dest, None)) for dest, flag in _INPUT_FILES.items()]
+    written: dict[str, str] = {}
+    for k, (flag, value) in enumerate(files):
+        if value is None:
+            continue
+        real = os.path.realpath(value)
+        if real in written:
+            raise UsageError(f"{written[real]} and {flag} name the same file {value}")
+        if k < outputs:
+            written[real] = flag
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +369,7 @@ def cmd_split(args) -> int:
     # a repeated clip could land on both sides of the split
     refuse_repeated_ids("annotations", args.ann, (clip_id(rel) for rel, _ in rows))
     aset = ev.remap_labels(rows, schema)
-    parts = dict(zip(("train", "val", "test"), ev.stratified_split(aset, seed=args.seed)))
+    parts = dict(zip(_SPLIT_PARTS, ev.stratified_split(aset, seed=args.seed)))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -539,6 +570,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_overwrites(args)
         return args.func(args)
     except (DgmeError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)

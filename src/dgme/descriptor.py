@@ -60,14 +60,29 @@ class NormStats:
             raise ValueError("std entries must be >= 0")
 
 
+def _sha256_hex(payload: bytes) -> str:
+    """Hex SHA-256 of ``payload`` from the interpreter's built-in SHA-256
+    module (``_sha2`` from CPython 3.12, ``_sha256`` before), the one
+    ``hashlib`` itself falls back to. ``import hashlib`` maps OpenSSL's
+    libcrypto, about 3.4 MB resident, into a command that needs two short
+    digests; only a build that leaves SHA-256 to OpenSSL takes the same
+    digest through ``hashlib``."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(payload).hexdigest()
+
+
 def config_hash(magnitude_threshold: float) -> str:
     """Stable short hash binding features to the settings that produced
     them: the magnitude threshold, the fixed geometry and the fixed
     Farneback settings, including the kind of averaging window
     (``flow.WINDOW_KIND``), so artifacts made with the earlier Gaussian
     window are refused."""
-    import hashlib
-
     payload = json.dumps({
         "dgme": {"grid": GRID, "directional_bins": DIRECTIONAL_BINS,
                  "magnitude_threshold": magnitude_threshold},
@@ -76,17 +91,15 @@ def config_hash(magnitude_threshold: float) -> str:
                  "iterations": flow.ITERATIONS,
                  "poly_n": flow.POLY_N, "poly_sigma": flow.POLY_SIGMA},
     }, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return _sha256_hex(payload.encode())[:12]
 
 
 def stats_digest(stats: NormStats) -> str:
     """Stable short hash of the statistics' mean and std (their float64
     bytes), which calibrated tables and models record to name the
     statistics that calibrated them."""
-    import hashlib
-
     payload = stats.mean.astype("<f8").tobytes() + stats.std.astype("<f8").tobytes()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    return _sha256_hex(payload)[:12]
 
 
 def grid_cells(height: int, width: int, grid: int) -> list[tuple[int, int, int, int]]:

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +372,32 @@ def test_config_hash_pinned():
     # the hash of every artifact written with the default threshold; it
     # was db5120ef2e5d before the payload named the box averaging window
     assert config_hash(0.5) == "a45e484d53c2"
+
+
+def _sha256_payloads():
+    # lengths on both sides of SHA-256's 55/56-byte padding edge and its
+    # 64-byte block, then random bytes
+    rng = np.random.default_rng(25)
+    return [(bytes(range(256)) * 4)[:n] for n in (0, 1, 55, 56, 64, 1000)] + [
+        rng.bytes(n) for n in (7, 63, 65, 4096)]
+
+
+def test_builtin_sha256_matches_hashlib():
+    for payload in _sha256_payloads():
+        assert dgme.descriptor._sha256_hex(payload) == hashlib.sha256(payload).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib_without_a_builtin_module(monkeypatch):
+    # a build that leaves SHA-256 to OpenSSL has neither built-in module
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    payloads = _sha256_payloads()
+    for payload in payloads:
+        assert dgme.descriptor._sha256_hex(payload) == sha256(payload).hexdigest()
+    assert calls == payloads
 
 
 # ---------------------------------------------------------------------------

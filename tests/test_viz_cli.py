@@ -745,6 +745,73 @@ def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     assert sorted(tmp_path.rglob("*")) == files  # no output file
 
 
+def _refused_multi_output(tmp_path, command):
+    """A data-error refusal of each command that writes more than one file,
+    with every output it takes; returns (argv, output paths)."""
+    if command == "train":
+        return (_repeated_val_id(tmp_path) + ["--log", str(tmp_path / "log.csv")],
+                [tmp_path / "out.json", tmp_path / "log.csv"])
+    if command == "eval":
+        return _repeated_split_id(tmp_path), [tmp_path / n for n in ("mm.json", "c.csv", "p.csv")]
+    return (_repeated_clip_annotations(tmp_path),
+            [tmp_path / "splits" / f"{n}.csv" for n in ("train", "val", "test")])
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "split"])
+def test_cli_refused_multi_output_command_writes_no_output(tmp_path, capsys, command):
+    args, outputs = _refused_multi_output(tmp_path, command)
+    rc = main(args)
+    assert rc == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert [p for p in outputs if p.exists()] == []
+
+
+def _overwriting(tmp_path, command):
+    """``command`` on ``_eval_model``'s files, with an output naming another
+    output or an input; returns (argv, the two options, the path)."""
+    eval_args = _eval_model(tmp_path)
+    split, features, model = (str(tmp_path / n) for n in ("split.csv", "f.csv", "m.json"))
+    stats = _stats_file(tmp_path)
+    test = str(tmp_path / "test.csv")
+    (tmp_path / "test.csv").write_text("clip_path,label\na.y8seq,pan\n")
+    train = ["train", "--features", features, "--train", split, "--val", split,
+             "--schema", "modern4", "--out", model]
+    return {
+        "extract": (["extract", "--ann", split, "--out", split], "--out", "--ann", split),
+        "stats": (["stats", "--features", features, "--out", features],
+                  "--out", "--features", features),
+        "normalize": (["normalize", "--features", features, "--stats", stats, "--out", stats],
+                      "--out", "--stats", stats),
+        "split": (["split", "--ann", test, "--schema", "modern4", "--out-dir", str(tmp_path)],
+                  "--out-dir's test.csv", "--ann", test),
+        "oversample": (["oversample", "--split", split, "--schema", "modern4",
+                        "--targets", "pan=2", "--out", split], "--out", "--split", split),
+        "train-log": (train + ["--log", model], "--out", "--log", model),
+        "train-input": (train[:-1] + [split], "--out", "--train", split),
+        "eval-outputs": (eval_args[:-1] + [str(tmp_path / "mm.json")],
+                         "--out-metrics", "--out-confusion", str(tmp_path / "mm.json")),
+        "eval-predictions": (eval_args + ["--out-predictions", model],
+                             "--out-predictions", "--model", model),
+        "viz": (["viz", "grid", "--features", features, "--clip-id", "a", "--out", features],
+                "--out", "--features", features),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["extract", "stats", "normalize", "split", "oversample",
+                                     "train-log", "train-input", "eval-outputs",
+                                     "eval-predictions", "viz"])
+def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
+    # each exited 0 with one file lost: train --out X --log X kept the log,
+    # eval kept only the confusion table, stats wrote over its features
+    args, first, second, path = _overwriting(tmp_path, command)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    rc = main(args)
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {first} and {second} name the same file {path}"]
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("option", ["--model", "--features", "--stats", "--clips",
                                     "--out-predictions"])
 def test_cli_eval_predictions_takes_no_model_option(tmp_path, capsys, option):
@@ -1270,24 +1337,53 @@ def test_cli_extract_never_loads_the_scipy_package(tmp_path, jobs):
     assert len(read_features_csv(tmp_path / "f.csv")[1]) == 2
 
 
+def _imports(tree):
+    """(node, imported module names) of each import statement in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [node.module or ""]
+
+
 def test_no_module_imports_scipy():
     # ``_resample`` loads scipy's compiled ndimage module from its file; an
     # import statement would load the package into every command
     importers = set()
     for path in Path(dgme.__file__).parent.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        for _, names in _imports(ast.parse(path.read_text())):
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.name)
     assert importers == set()
 
 
+def test_no_module_imports_hashlib():
+    # hashlib maps OpenSSL's libcrypto, about 3.4 MB resident; the digests
+    # come from the interpreter's built-in SHA-256, and only the ImportError
+    # fallback of ``descriptor._sha256_hex``, for builds without one, names hashlib
+    importers = []
+    for path in Path(dgme.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        fallbacks = {id(node) for handler in ast.walk(tree)
+                     if isinstance(handler, ast.ExceptHandler) for node in ast.walk(handler)}
+        importers += [(path.name, id(node) in fallbacks) for node, names in _imports(tree)
+                      if "hashlib" in names or "_hashlib" in names]
+    assert importers == [("descriptor.py", True)]
+
+
 # runs the commands of argv lists given as JSON in one interpreter and prints,
-# after the import and after each command, which of the watched modules are loaded
+# after the import and after each command, which of the watched modules are
+# loaded. Each clip's flow also checks, in the pool worker that ran it under
+# extract --jobs 2, that it did not load OpenSSL (hashlib's _hashlib)
 _MODULES_PROBE = ("import json, sys\n"
                   "import dgme.cli\n"
-                  "watched = {'dgme.synth', 'dgme.viz', 'multiprocessing', 'hashlib'}\n"
+                  "watched = {'dgme.synth', 'dgme.viz', 'multiprocessing', 'hashlib', '_hashlib'}\n"
+                  "extract_one = dgme.cli._extract_one\n"
+                  "def checked_extract_one(task):\n"
+                  "    result = extract_one(task)\n"
+                  "    assert '_hashlib' not in sys.modules, 'flow loaded _hashlib'\n"
+                  "    return result\n"
+                  "dgme.cli._extract_one = checked_extract_one\n"
                   "loaded = [['import', sorted(watched & set(sys.modules))]]\n"
                   "for argv in json.loads(sys.argv[1]):\n"
                   "    assert dgme.cli.main(argv) == 0, argv\n"
@@ -1298,7 +1394,7 @@ _MODULES_PROBE = ("import json, sys\n"
 def test_cli_head_commands_load_only_the_modules_they_run(mini_corpus, tmp_path):
     # no head command synthesizes, draws or pools, and stats hashes nothing;
     # each of these modules was imported by every command. split and oversample
-    # load hashlib with numpy.random, whose import loads secrets and hmac
+    # load hashlib and OpenSSL with numpy.random, whose import loads secrets and hmac
     features, corpus = str(mini_corpus / "features.csv"), str(mini_corpus / "corpus")
     stats, splits, oversampled = (str(tmp_path / n) for n in ("s.json", "splits", "os.csv"))
     train = ["train", "--features", features, "--train", oversampled,
@@ -1324,6 +1420,50 @@ def test_cli_head_commands_load_only_the_modules_they_run(mini_corpus, tmp_path)
     assert [name for name, modules in loaded
             if {"dgme.synth", "dgme.viz", "multiprocessing"} & set(modules)] == []
     assert loaded[:2] == [["import", []], ["stats", []]]
+
+
+def _descriptor_commands(mini_corpus, tmp_path):
+    """Each command that computes, calibrates, draws or scores descriptors
+    without drawing random numbers, by name, on the mini corpus; the models
+    the two evals score are trained here first."""
+    synth.make_corpus(tmp_path / "c", ["pan", "zoom"], 1, "modern", seed=0, size=32, frames=3)
+    extract = ["extract", "--ann", str(tmp_path / "c" / "annotations.csv"),
+               "--out", str(tmp_path / "f.csv"), "--frames-per-clip", "3",
+               "--interval", "1", "--target-size", "32"]
+    features, stats = str(mini_corpus / "features.csv"), str(tmp_path / "s.json")
+    assert main(["stats", "--features", features, "--out", stats]) == 0
+    train = _train_args(mini_corpus, tmp_path)
+    assert main(train) == 0
+    model = tmp_path / "m.json"
+    assert main(train + ["--stats", stats, "--out", str(tmp_path / "mz.json")]) == 0
+    evaluate = ["eval", "--split", str(tmp_path / "splits" / "test.csv"), "--schema", "modern4",
+                "--features", features, "--out-metrics", str(tmp_path / "mm.json"),
+                "--out-confusion", str(tmp_path / "cm.csv")]
+    return {
+        "extract-jobs-1": extract + ["--jobs", "1"],
+        "extract-jobs-2": extract + ["--jobs", "2"],
+        "stats": ["stats", "--features", features, "--out", str(tmp_path / "s2.json")],
+        "normalize": ["normalize", "--features", features, "--stats", stats,
+                      "--out", str(tmp_path / "z.csv")],
+        "viz-rose": ["viz", "rose", "--features", features, "--label", "pan",
+                     "--out", str(tmp_path / "rose.svg")],
+        "eval-raw": evaluate + ["--model", str(model)],
+        "eval-stats": evaluate + ["--model", str(tmp_path / "mz.json"), "--stats", stats],
+    }
+
+
+@pytest.mark.parametrize("command", ["extract-jobs-1", "extract-jobs-2", "stats", "normalize",
+                                     "viz-rose", "eval-raw", "eval-stats"])
+def test_cli_descriptor_commands_never_load_openssl(mini_corpus, tmp_path, command):
+    # the config hash and the statistics digest come from the built-in
+    # SHA-256; hashlib mapped OpenSSL's libcrypto, about 3.4 MB, into each of
+    # these commands that computes one (extract, normalize, eval --stats)
+    argv = _descriptor_commands(mini_corpus, tmp_path)[command]
+    child = _fresh_python(_MODULES_PROBE, json.dumps([argv]))
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout.splitlines()[-1])
+    assert [name for name, _ in loaded] == ["import", argv[0]]
+    assert [name for name, modules in loaded if {"hashlib", "_hashlib"} & set(modules)] == []
 
 
 def _embed_per_row(clips_dir, clip_ids, seed, dim):
