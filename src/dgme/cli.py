@@ -25,8 +25,26 @@ from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # (action, files) of each option typed _in_file or _out_file, or
+        # declared with the ``writes`` files its output directory takes
+        self.file_options = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, writes=(), **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if writes or action.type in (_in_file, _out_file):
+            self.file_options.append((action, writes))
+        return action
+
     def error(self, message):
         raise UsageError(message)
+
+
+def _in_file(value: str) -> str:
+    """An input file option, compared with the command's outputs before the
+    command reads anything."""
+    return value
 
 
 def _out_file(value: str) -> str:
@@ -62,33 +80,30 @@ def _seed(value: str) -> int:
     return seed
 
 
-# file options by dest, named as on the command line: the files a command
-# writes, and the files it reads
-_OUTPUT_FILES = {"out": "--out", "log": "--log", "out_metrics": "--out-metrics",
-                 "out_confusion": "--out-confusion", "out_predictions": "--out-predictions"}
-_INPUT_FILES = {"ann": "--ann", "features": "--features", "stats": "--stats",
-                "train_split": "--train", "val_split": "--val", "split": "--split",
-                "model": "--model", "predictions": "--predictions"}
 _SPLIT_PARTS = ("train", "val", "test")
 
 
-def _refuse_overwrites(args) -> None:
-    """Refuse, before a command reads anything, an output that names the same
-    file as another output or as an input: a later write would replace it."""
-    files = [(flag, getattr(args, dest, None)) for dest, flag in _OUTPUT_FILES.items()]
-    if getattr(args, "out_dir", None) is not None:
-        files += [(f"--out-dir's {part}.csv", os.path.join(args.out_dir, f"{part}.csv"))
-                  for part in _SPLIT_PARTS]
-    outputs = len(files)
-    files += [(flag, getattr(args, dest, None)) for dest, flag in _INPUT_FILES.items()]
-    written: dict[str, str] = {}
-    for k, (flag, value) in enumerate(files):
+def _refuse_overwrites(command: _Parser, args) -> None:
+    """Refuse, before ``command`` reads anything, an output that names the
+    same file as another output or as an existing input file: a later write
+    would replace it."""
+    outputs, inputs = [], []
+    for action, writes in command.file_options:
+        flag, value = action.option_strings[0], getattr(args, action.dest)
         if value is None:
             continue
+        if writes:
+            outputs += [(f"{flag}'s {name}", os.path.join(value, name)) for name in writes]
+        elif action.type is _out_file:
+            outputs.append((flag, value))
+        elif os.path.isfile(value):  # a packaged schema name such as modern4 is no file
+            inputs.append((flag, value))
+    written: dict[str, str] = {}
+    for k, (flag, value) in enumerate(outputs + inputs):
         real = os.path.realpath(value)
         if real in written:
             raise UsageError(f"{written[real]} and {flag} name the same file {value}")
-        if k < outputs:
+        if k < len(outputs):
             written[real] = flag
 
 
@@ -96,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dgme", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dgme {dgme.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--classes", required=True,
@@ -111,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="compute motion descriptors for a corpus")
-    p.add_argument("--ann", required=True, help="annotations.csv of the corpus")
+    p.add_argument("--ann", required=True, type=_in_file, help="annotations.csv of the corpus")
     p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--mthr", type=float, default=0.5)
     p.add_argument("--jobs", type=int, default=1)
@@ -122,40 +138,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="fit per-dimension calibration statistics")
-    p.add_argument("--features", required=True)
+    p.add_argument("--features", required=True, type=_in_file)
     p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("normalize", help="apply calibration statistics to features")
-    p.add_argument("--features", required=True)
-    p.add_argument("--stats", required=True)
+    p.add_argument("--features", required=True, type=_in_file)
+    p.add_argument("--stats", required=True, type=_in_file)
     p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("split", help="stratified train/val/test split of annotations")
-    p.add_argument("--ann", required=True)
-    p.add_argument("--schema", required=True)
+    p.add_argument("--ann", required=True, type=_in_file)
+    p.add_argument("--schema", required=True, type=_in_file)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out-dir", required=True, type=_out_dir)
+    p.add_argument("--out-dir", required=True, type=_out_dir,
+                   writes=[f"{part}.csv" for part in _SPLIT_PARTS])
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("oversample", help="oversample training annotations per class")
-    p.add_argument("--split", required=True, help="training split CSV")
-    p.add_argument("--schema", required=True)
+    p.add_argument("--split", required=True, type=_in_file, help="training split CSV")
+    p.add_argument("--schema", required=True, type=_in_file)
     p.add_argument("--targets", required=True, help="class=count,class=count,...")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_file)
     p.set_defaults(func=cmd_oversample)
 
     p = sub.add_parser("train", help="train a classification head on features")
-    p.add_argument("--features", required=True)
-    p.add_argument("--train", dest="train_split", required=True)
-    p.add_argument("--val", dest="val_split", required=True)
+    p.add_argument("--features", required=True, type=_in_file)
+    p.add_argument("--train", dest="train_split", required=True, type=_in_file)
+    p.add_argument("--val", dest="val_split", required=True, type=_in_file)
     p.add_argument("--mode", choices=("dgme-only", "fusion"), default="dgme-only")
-    p.add_argument("--stats", default=None, help="calibration statistics JSON")
+    p.add_argument("--stats", default=None, type=_in_file, help="calibration statistics JSON")
     p.add_argument("--clips", default=None, help="corpus dir (needed for fusion embeddings)")
-    p.add_argument("--schema", required=True)
+    p.add_argument("--schema", required=True, type=_in_file)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, type=_out_file)
     p.add_argument("--log", default=None, type=_out_file)
@@ -164,13 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score predictions or a model on a split")
-    p.add_argument("--split", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--model", default=None)
-    p.add_argument("--features", default=None)
-    p.add_argument("--stats", default=None)
+    p.add_argument("--split", required=True, type=_in_file)
+    p.add_argument("--schema", required=True, type=_in_file)
+    p.add_argument("--model", default=None, type=_in_file)
+    p.add_argument("--features", default=None, type=_in_file)
+    p.add_argument("--stats", default=None, type=_in_file)
     p.add_argument("--clips", default=None)
-    p.add_argument("--predictions", default=None, help="score an existing predictions CSV")
+    p.add_argument("--predictions", default=None, type=_in_file,
+                   help="score an existing predictions CSV")
     p.add_argument("--out-metrics", required=True, type=_out_file)
     p.add_argument("--out-confusion", required=True, type=_out_file)
     p.add_argument("--out-predictions", default=None, type=_out_file)
@@ -179,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("viz", help="render descriptor visualizations as SVG")
     p.add_argument("kind", choices=("rose", "grid"))
-    p.add_argument("--features", required=True)
+    p.add_argument("--features", required=True, type=_in_file)
     p.add_argument("--label", default=None, help="rose: aggregate clips with this label")
     p.add_argument("--clip-id", default=None, help="grid: render this clip")
     p.add_argument("--out", required=True, type=_out_file)
@@ -570,7 +588,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _refuse_overwrites(args)
+        _refuse_overwrites(parser.commands[args.command], args)
         return args.func(args)
     except (DgmeError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)

@@ -14,7 +14,6 @@ never survives past this module.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,33 +107,25 @@ def write_y8seq(seq: FrameSequence, path) -> None:
         fh.write(seq.frames.tobytes(order="C"))
 
 
-def _y8seq_shape(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
-    """(frame_count, height, width) of the ``.y8seq`` file at ``path`` whose
-    first bytes are ``head`` and whose length is ``size`` bytes; errors
-    name expected vs actual byte counts."""
-    if size < 16:
-        raise DataError(f"truncated y8seq header in {path}: expected 16 bytes, have {size}")
-    if head[:4] != Y8SEQ_MAGIC:
-        raise DataError(f"bad magic in {path}: expected {Y8SEQ_MAGIC!r}, got {head[:4]!r}")
-    width, height, count = struct.unpack("<III", head[4:16])
+def read_y8seq(path) -> FrameSequence:
+    """Read a ``.y8seq`` clip; errors name expected vs actual byte counts."""
+    path = existing_file(path, "clip")
+    data = path.read_bytes()
+    if len(data) < 16:
+        raise DataError(f"truncated y8seq header in {path}: expected 16 bytes, have {len(data)}")
+    if data[:4] != Y8SEQ_MAGIC:
+        raise DataError(f"bad magic in {path}: expected {Y8SEQ_MAGIC!r}, got {data[:4]!r}")
+    width, height, count = struct.unpack("<III", data[4:16])
     if count < 2:
         raise DataError(f"{path} holds {count} frames, a clip needs at least 2")
     if width == 0 or height == 0:
         raise DataError(f"{path} holds {width}x{height} frames, a clip needs at least 1x1")
     expected = 16 + width * height * count
-    if size != expected:
+    if len(data) != expected:
         raise DataError(
-            f"truncated y8seq payload in {path}: expected {expected} bytes, have {size}"
+            f"truncated y8seq payload in {path}: expected {expected} bytes, have {len(data)}"
         )
-    return count, height, width
-
-
-def read_y8seq(path) -> FrameSequence:
-    """Read every frame of a ``.y8seq`` clip."""
-    path = existing_file(path, "clip")
-    data = path.read_bytes()
-    shape = _y8seq_shape(path, data[:16], len(data))
-    frames = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(shape)
+    frames = np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, height, width)
     return FrameSequence(frames.copy(), clip_id=clip_id(path))
 
 
@@ -220,26 +211,10 @@ def load_clip(path, spec: SamplingSpec) -> FrameSequence:
     are refused before any is resized.
     """
     path = Path(path)
-    if path.is_dir():
-        source = _read_frame_dir(path)
-        return _sample(path, source.shape, source.__getitem__, spec)
-    # a .y8seq clip: only the sampled frames are read, one seek and one read each
-    path = existing_file(path, "clip")
-    with open(path, "rb") as fh:
-        count, h, w = _y8seq_shape(path, fh.read(16), os.fstat(fh.fileno()).st_size)
+    source = _read_frame_dir(path) if path.is_dir() else read_y8seq(path).frames
 
-        def frame(idx: int) -> np.ndarray:
-            fh.seek(16 + idx * h * w)
-            return np.frombuffer(fh.read(h * w), dtype=np.uint8).reshape(h, w)
-
-        return _sample(path, (count, h, w), frame, spec)
-
-
-def _sample(path: Path, shape: tuple[int, int, int], frame, spec: SamplingSpec) -> FrameSequence:
-    """``load_clip``'s sampling of a clip of ``shape`` (frames, height,
-    width) whose source frame ``idx`` is ``frame(idx)``."""
     need = spec.required_source_frames
-    have, h, w = shape
+    have, h, w = source.shape
     if have < need:
         raise DataError(f"insufficient frames: need {need}, have {have}")
     out_h, out_w = _resized_shape(h, w, spec.target_size)
@@ -252,7 +227,7 @@ def _sample(path: Path, shape: tuple[int, int, int], frame, spec: SamplingSpec) 
     size = spec.target_size
     y0, x0 = (out_h - size) // 2, (out_w - size) // 2
     out = []
-    for idx in range(0, need, spec.frame_interval):
-        resized = resize_bilinear(frame(idx).astype(np.float64), out_h, out_w)
-        out.append(to_u8(resized[y0 : y0 + size, x0 : x0 + size]))
+    for idx in np.arange(spec.frames_per_clip) * spec.frame_interval:
+        frame = resize_bilinear(source[idx].astype(np.float64), out_h, out_w)
+        out.append(to_u8(frame[y0 : y0 + size, x0 : x0 + size]))
     return FrameSequence(np.stack(out), clip_id=clip_id(path))

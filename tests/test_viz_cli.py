@@ -774,6 +774,8 @@ def _overwriting(tmp_path, command):
     stats = _stats_file(tmp_path)
     test = str(tmp_path / "test.csv")
     (tmp_path / "test.csv").write_text("clip_path,label\na.y8seq,pan\n")
+    schema = str(tmp_path / "s.json")
+    Path(schema).write_text('{"name": "s", "classes": ["pan"], "remap": {"pan": "pan"}}')
     train = ["train", "--features", features, "--train", split, "--val", split,
              "--schema", "modern4", "--out", model]
     return {
@@ -786,6 +788,8 @@ def _overwriting(tmp_path, command):
                   "--out-dir's test.csv", "--ann", test),
         "oversample": (["oversample", "--split", split, "--schema", "modern4",
                         "--targets", "pan=2", "--out", split], "--out", "--split", split),
+        "oversample-schema": (["oversample", "--split", split, "--schema", schema,
+                               "--targets", "pan=2", "--out", schema], "--out", "--schema", schema),
         "train-log": (train + ["--log", model], "--out", "--log", model),
         "train-input": (train[:-1] + [split], "--out", "--train", split),
         "eval-outputs": (eval_args[:-1] + [str(tmp_path / "mm.json")],
@@ -798,7 +802,7 @@ def _overwriting(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["extract", "stats", "normalize", "split", "oversample",
-                                     "train-log", "train-input", "eval-outputs",
+                                     "oversample-schema", "train-log", "train-input", "eval-outputs",
                                      "eval-predictions", "viz"])
 def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
     # each exited 0 with one file lost: train --out X --log X kept the log,
@@ -810,6 +814,16 @@ def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
     assert capsys.readouterr().err.splitlines() == [
         f"error: {first} and {second} name the same file {path}"]
     assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_cli_schema_name_is_not_an_input_file(tmp_path, monkeypatch):
+    # a packaged schema name is no file, so an output that shares it is kept
+    split = tmp_path / "split.csv"
+    split.write_text("clip_path,label\na.y8seq,pan\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["oversample", "--split", str(split), "--schema", "modern4",
+                 "--targets", "pan=2", "--out", "modern4"]) == 0
+    assert (tmp_path / "modern4").read_text().endswith("a,pan\na,pan\n")
 
 
 @pytest.mark.parametrize("option", ["--model", "--features", "--stats", "--clips",
