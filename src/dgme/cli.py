@@ -251,7 +251,6 @@ def cmd_synth(args) -> int:
         args.out, classes, args.per_class, args.domain, args.seed,
         size=args.size, frames=args.frames,
         magnitude_range=(args.mag_min, args.mag_max),
-        meta={"version": dgme.__version__},
     )
     print(f"wrote {len(rows)} clips to {args.out}")
     return 0
@@ -279,9 +278,12 @@ def cmd_extract(args) -> int:
 
     clip_ids = [clip_id(rel) for rel, _ in rows]
     refuse_repeated_ids("annotations", ann_path, clip_ids)
+    out_real = os.path.realpath(args.out)
     tasks = []
     for i, (rel, _) in enumerate(rows):
         clip_path = root / rel
+        if os.path.realpath(clip_path) == out_real:
+            raise UsageError(f"--out and --ann row {i + 1}'s clip name the same file {args.out}")
         if not clip_path.exists():
             raise DataError(f"row {i + 1}: clip file missing: {clip_path}")
         tasks.append((i, str(clip_path), sampling, args.mthr))
@@ -304,9 +306,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
+def _calibration_digest(meta: dict, what: str, command: str) -> str | None:
+    """The ``stats_digest`` that marks ``what`` calibrated, or None; a file marked
+    ``calibrated`` with no digest predates digests and is refused, not read as raw."""
+    digest = meta.get("stats_digest")
+    if digest is None and meta.get("calibrated") in (True, "true"):
+        raise DataError(f"{what}: calibrated without a stats_digest, as written before "
+                        f"digests were recorded; run {command} again")
+    return digest
+
+
 def _read_features(path, stats_path=None, model_meta=None, raw=False):
     """Read the features table at ``path``, z-score it with the statistics at
-    ``stats_path``, and refuse what may not be combined with it:
+    ``stats_path``, and refuse what may not be combined with it; a table or
+    model is calibrated when it records a ``stats_digest``:
 
     - statistics are fitted on and applied to, and views drawn from, raw
       tables only: ``raw`` (stats, viz) or ``stats_path`` refuses a calibrated one;
@@ -315,29 +328,29 @@ def _read_features(path, stats_path=None, model_meta=None, raw=False):
     - features, statistics and model carry one config hash; a missing hash
       matches only another missing one;
     - a model takes features calibrated with the statistics it was trained
-      with: their ``dsc.stats_digest`` is the model's, and a missing digest
-      matches only another missing one.
+      with: their ``dsc.stats_digest`` is the model's.
 
-    Returns (meta, clip ids, labels, matrix, calibrated); with ``stats_path``,
-    meta carries the statistics' digest as ``stats_digest``.
+    Returns (meta, clip ids, labels, matrix); with ``stats_path``, meta
+    carries the statistics' digest as ``stats_digest``.
     """
     meta, clip_ids, labels, matrix = dsc.read_features_csv(path)
-    calibrated = meta.get("calibrated") == "true"
-    if calibrated and (raw or stats_path is not None):
+    digest = _calibration_digest(meta, f"features {path}", "normalize")
+    if digest is not None and (raw or stats_path is not None):
         raise DataError(f"features {path} are already calibrated")
     hashes = {}
     if stats_path is not None:
-        stats, _ = dsc.read_stats_json(stats_path)
-        hashes["stats"], calibrated = stats.config_hash, True
-        meta["stats_digest"] = dsc.stats_digest(stats)
+        stats = dsc.read_stats_json(stats_path)
+        hashes["stats"] = stats.config_hash
+        digest = meta["stats_digest"] = dsc.stats_digest(stats)
     if model_meta is not None:
-        if model_meta.get("calibrated") and not calibrated:
+        model_digest = _calibration_digest(model_meta, "model", "train")
+        if digest is None and model_digest is not None:
             raise DataError("model was trained on calibrated features; pass --stats "
                             "with the statistics used at training time")
-        if calibrated and not model_meta.get("calibrated"):
+        if digest is not None and model_digest is None:
             raise DataError("model was trained uncalibrated; evaluate on raw features")
         domain, train_domain = meta.get("domain"), model_meta.get("train_domain")
-        if domain and train_domain and domain != train_domain and not calibrated:
+        if domain and train_domain and domain != train_domain and digest is None:
             raise DataError(f"cross-domain evaluation ({train_domain} -> {domain}) "
                             "requires z-score calibration; train with --stats")
         hashes["model"] = model_meta.get("config_hash", "")
@@ -345,17 +358,16 @@ def _read_features(path, stats_path=None, model_meta=None, raw=False):
         if other != meta.get("config_hash", ""):
             raise DataError(f"config hash mismatch: features "
                             f"{meta.get('config_hash', '')!r} vs {source} {other!r}")
-    if model_meta is not None and meta.get("stats_digest") != model_meta.get("stats_digest"):
-        raise DataError(f"statistics mismatch: features calibrated with "
-                        f"{meta.get('stats_digest')!r} vs model trained with "
-                        f"{model_meta.get('stats_digest')!r}")
+    if model_meta is not None and digest != model_digest:
+        raise DataError(f"statistics mismatch: features calibrated with {digest!r} "
+                        f"vs model trained with {model_digest!r}")
     if stats_path is not None:
         matrix = dsc.apply_zscore(matrix, stats)
-    return meta, clip_ids, labels, matrix, calibrated
+    return meta, clip_ids, labels, matrix
 
 
 def cmd_stats(args) -> int:
-    meta, _, _, matrix, _ = _read_features(args.features, raw=True)
+    meta, _, _, matrix = _read_features(args.features, raw=True)
     cfg_hash = meta.get("config_hash", "")
     stats = dsc.fit_stats(matrix, cfg_hash)
     dsc.write_stats_json(args.out, stats, _out_meta(args.seed, cfg_hash, source=meta))
@@ -364,9 +376,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    meta, clip_ids, labels, matrix, _ = _read_features(args.features, args.stats)
+    meta, clip_ids, labels, matrix = _read_features(args.features, args.stats)
     out_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash", ""),
-                         source=meta, calibrated="true", stats_digest=meta["stats_digest"])
+                         source=meta, stats_digest=meta["stats_digest"])
     dsc.write_features_csv(args.out, clip_ids, labels, matrix, out_meta)
     print(f"calibrated {len(clip_ids)} rows -> {args.out}")
     return 0
@@ -447,7 +459,7 @@ def _embed_clips(clips_dir, clip_ids, seed, dim):
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
     root = Path(clips_dir)
     rows = [provider.embed(read_y8seq(root / f"{cid}.y8seq")) for cid in clip_ids]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), dim), provider
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def cmd_train(args) -> int:
@@ -461,7 +473,7 @@ def cmd_train(args) -> int:
     if mode == "fusion" and args.clips is None:
         raise UsageError("--mode fusion requires --clips for backbone embeddings")
 
-    meta, clip_ids, _, matrix, calibrated = _read_features(args.features, args.stats)
+    meta, clip_ids, _, matrix = _read_features(args.features, args.stats)
     # oversampling repeats training clips on purpose, and each repeat is a
     # row index into the clip's one feature row; early stopping scores each
     # validation clip once
@@ -470,10 +482,9 @@ def cmd_train(args) -> int:
                     clip_ids, matrix)
         for path, unique in ((args.train_split, False), (args.val_split, True)))
 
-    provider = None
     xb_train = xb_val = None
     if mode == "fusion":
-        xb, provider = _embed_clips(args.clips, train_ids + val_ids, args.seed, mdl.EMBED_DIM)
+        xb = _embed_clips(args.clips, train_ids + val_ids, args.seed, mdl.EMBED_DIM)
         xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
     cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
@@ -482,16 +493,8 @@ def cmd_train(args) -> int:
                             mdl.LabeledFeatures(x_val, y_val, xb_val, r_val), cfg)
 
     cfg_hash = meta.get("config_hash", "")
-    model_meta = _out_meta(args.seed, cfg_hash)
-    model_meta.update(
-        {
-            "schema": schema.name,
-            "calibrated": calibrated,
-            "stats_digest": meta.get("stats_digest"),
-            "train_domain": meta.get("domain"),
-            "embedding": provider.descriptor if provider else None,
-        }
-    )
+    model_meta = _out_meta(args.seed, cfg_hash, schema.name, stats_digest=meta.get("stats_digest"),
+                           train_domain=meta.get("domain"))
     mdl.save_model_json(args.out, params, model_meta)
     if args.log:
         mdl.write_training_log(args.log, log, _out_meta(args.seed, cfg_hash))
@@ -525,7 +528,7 @@ def cmd_eval(args) -> int:
                 f"model classes {params.class_names} do not match the classes "
                 f"{list(schema.classes)} of schema {schema.name}"
             )
-        _, clip_ids, _, matrix, _ = _read_features(args.features, args.stats, model_meta)
+        _, clip_ids, _, matrix = _read_features(args.features, args.stats, model_meta)
         ids, X, rows, y = _join_split(args.split, truth, args.features, clip_ids, matrix)
         seed = _meta_int(model_meta, "seed", args.seed, args.model)
         backbone = None
@@ -535,7 +538,7 @@ def cmd_eval(args) -> int:
                 raise UsageError("evaluating a fusion model requires --clips")
             if seed < 0:  # numpy's seeding would refuse it as a bad option
                 raise DataError(f"{args.model}: a fusion model's seed must be >= 0, got {seed}")
-            backbone, _ = _embed_clips(args.clips, ids, seed, params.backbone_dim)
+            backbone = _embed_clips(args.clips, ids, seed, params.backbone_dim)
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone, rows), params)
         predictions = [(cid, schema.classes[k])
                        for (cid, _), k in zip(truth.entries, pred_idx)]
@@ -554,7 +557,7 @@ def cmd_eval(args) -> int:
 def cmd_viz(args) -> int:
     from dgme import viz
 
-    meta, clip_ids, labels, matrix, _ = _read_features(args.features, raw=True)
+    meta, clip_ids, labels, matrix = _read_features(args.features, raw=True)
     svg_meta = _out_meta(_meta_int(meta, "seed", 0, args.features), meta.get("config_hash"))
 
     if args.kind == "rose":

@@ -256,10 +256,10 @@ def write_stats_json(path, stats: NormStats, meta: dict) -> None:
     })
 
 
-def read_stats_json(path) -> tuple[NormStats, dict]:
+def read_stats_json(path) -> NormStats:
     payload = read_json(path, "stats")
     try:
-        stats = NormStats(
+        return NormStats(
             mean=np.array(numbers(payload["mean"]), dtype=np.float64),
             std=np.array(numbers(payload["std"]), dtype=np.float64),
             source_count=int(payload["count"]),
@@ -267,5 +267,3 @@ def read_stats_json(path) -> tuple[NormStats, dict]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed stats file {path}: {exc}") from exc
-    meta = {k: v for k, v in payload.items() if k not in ("mean", "std", "count", "config_hash")}
-    return stats, meta

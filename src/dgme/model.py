@@ -363,7 +363,6 @@ class StubEmbeddingProvider:
     """
 
     def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
-        self.descriptor = f"stub-intensity-motion-v1(seed={seed},dim={dim})"
         self._projection = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
         self._projection /= np.sqrt(_STATS_WIDTH)
 

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+import dgme
 from dgme._meta import write_table
 from dgme._resample import gaussian_blur, resize_bilinear, sample_bilinear_planes
 from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
@@ -248,8 +249,7 @@ def _random_degrade(rng: np.random.Generator) -> DegradeSpec:
 
 def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
                 size: int = 128, frames: int = 12,
-                magnitude_range: tuple[float, float] = (1.0, 4.0),
-                meta: dict | None = None) -> list[tuple[str, str]]:
+                magnitude_range: tuple[float, float] = (1.0, 4.0)) -> list[tuple[str, str]]:
     """Generate a labeled clip corpus on disk plus ``annotations.csv``.
 
     ``historical`` corpora additionally pass every clip through a
@@ -296,8 +296,7 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
             write_y8seq(clip, out_dir / name)
             rows.append((name, label))
 
-    header = dict(meta or {})
-    header.setdefault("seed", seed)
-    header.setdefault("domain", domain)
-    write_table(out_dir / "annotations.csv", "corpus", header, ["clip_path", "label"], rows)
+    write_table(out_dir / "annotations.csv", "corpus",
+                {"version": dgme.__version__, "seed": seed, "domain": domain},
+                ["clip_path", "label"], rows)
     return rows

@@ -155,17 +155,16 @@ def test_cli_stats_and_normalize(mini_corpus, tmp_path):
     out = tmp_path / "cal.csv"
     assert main(["normalize", "--features", str(features), "--stats", str(stats),
                  "--out", str(out)]) == 0
+    stats_obj = dgme.descriptor.read_stats_json(stats)
     meta, _, _, matrix = read_features_csv(out)
-    assert meta["calibrated"] == "true"
+    assert "calibrated" not in meta
+    assert meta["stats_digest"] == dgme.descriptor.stats_digest(stats_obj)
     live = matrix.std(axis=0) > 1e-6
     # the normalization itself zeroes column means to ~1e-16; the written
     # file adds only the 9-significant-digit quantization of the format
     assert np.all(np.abs(matrix.mean(axis=0)[live]) < 2e-8)
 
-    from dgme.descriptor import read_stats_json
-
     _, _, _, raw = read_features_csv(features)
-    stats_obj, _ = read_stats_json(stats)
     calibrated = (raw - stats_obj.mean) / np.maximum(stats_obj.std, 1e-8)
     assert np.all(np.abs(calibrated.mean(axis=0)[live]) < 1e-9)
 
@@ -212,7 +211,8 @@ def test_cli_split_train_eval_round_trip(mini_corpus, tmp_path, capsys):
                "--out", str(model), "--epochs", "3", "--batch-size", "8"])
     assert rc == 0
     payload = json.loads(model.read_text())
-    assert payload["calibrated"] is True
+    assert payload["stats_digest"] == dgme.descriptor.stats_digest(
+        dgme.descriptor.read_stats_json(stats))
     assert payload["backbone_dim"] == 64
 
     metrics = tmp_path / "metrics.json"
@@ -379,7 +379,7 @@ def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
         corpus / "annotations.csv": f"# dgme-corpus version={v} seed=5 domain=modern",
         features: f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 domain=modern",
         tmp_path / "cal.csv": f"# dgme-features version={v} seed=5 config_hash=a45e484d53c2 "
-                              "domain=modern calibrated=true stats_digest=2416f100f9f9",
+                              "domain=modern stats_digest=2416f100f9f9",
         splits / "train.csv": f"# dgme-annotations version={v} seed=5 schema=modern4 "
                               "domain=modern",
         tmp_path / "cm.csv": f"# dgme-confusion version={v} seed=5 schema=modern4",
@@ -390,6 +390,14 @@ def test_cli_metadata_first_lines_pinned(mini_corpus, tmp_path):
     assert (tmp_path / "rose.svg").read_text().splitlines()[1] == (
         f"<!-- dgme-viz version={v} seed=5 config_hash=a45e484d53c2 -->"
     )
+    # the JSON artifacts state each fact once: no key restates another
+    weights = {"class_names", "backbone_dim", "descriptor_dim", "alpha", "ln_gain", "ln_bias",
+               "W", "b"}
+    model = json.loads((tmp_path / "m.json").read_text())
+    assert [k for k in model if k not in weights] == [
+        "version", "seed", "config_hash", "schema", "stats_digest", "train_domain"]
+    assert list(json.loads((tmp_path / "s.json").read_text())) == [
+        "version", "seed", "config_hash", "domain", "count", "mean", "std"]
 
     # the readers parse what the writer wrote, values as strings
     meta = {"version": v, "seed": 5, "config_hash": "a45e484d53c2", "domain": "modern"}
@@ -457,7 +465,7 @@ def _eval_model(tmp_path, weight=0.0, std=None):
     _features_file(tmp_path, "a,pan,0.1,0.2", "b,tilt,0.3,0.4",
                    name="f.csv", comment="seed=0 config_hash=h")
     (tmp_path / "split.csv").write_text("clip_path,label\na.y8seq,pan\nb.y8seq,tilt\n")
-    model = {"config_hash": "h", "mode": "dgme_only", "calibrated": std is not None,
+    model = {"config_hash": "h", "mode": "dgme_only",
              "class_names": ["static", "tilt", "pan", "zoom"], "backbone_dim": 0,
              "descriptor_dim": 117, "alpha": 1.0, "ln_gain": [1.0] * 117, "ln_bias": [0.0] * 117,
              "W": [[weight] + [0.0] * 116] + [[0.0] * 117] * 3, "b": [0.0] * 4}
@@ -509,10 +517,11 @@ def _with_stats(tmp_path, args, config_hash="h"):
 
 
 def _on_calibrated_table(tmp_path, *argv):
-    """``argv`` with ``--features`` of a two-row table marked calibrated."""
+    """``argv`` with ``--features`` of a two-row table calibrated with
+    statistics of some digest."""
     _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
     path = tmp_path / "features.csv"
-    path.write_text(path.read_text().replace("seed=0", "seed=0 calibrated=true"))
+    path.write_text(path.read_text().replace("seed=0", "seed=0 stats_digest=0123456789ab"))
     return [*argv, "--features", str(path)]
 
 
@@ -533,21 +542,23 @@ def _other_stats(tmp_path):
 
 def _on_table_calibrated_with(tmp_path, digest):
     """``_eval_model`` trained with std 2 statistics, evaluated without
-    ``--stats`` on a table marked calibrated, with ``digest`` as its
-    statistics digest unless None."""
+    ``--stats`` on a table calibrated with statistics of ``digest``; None
+    marks it ``calibrated`` without a digest, as tables written before the
+    digest existed."""
     args = _eval_model(tmp_path, std=2.0)[:-2]
     path = tmp_path / "f.csv"
-    mark = "calibrated=true" + ("" if digest is None else f" stats_digest={digest}")
+    mark = "calibrated=true" if digest is None else f"stats_digest={digest}"
     path.write_text(path.read_text().replace("config_hash=h", f"config_hash=h {mark}"))
     return args
 
 
 def _model_without_digest(tmp_path):
-    """``_eval_model`` with ``--stats`` of a calibrated model that records no
-    statistics digest, as models written before the digest existed."""
+    """``_eval_model`` with ``--stats`` of a model marked ``calibrated`` that
+    records no statistics digest, as models written before the digest existed."""
     args = _eval_model(tmp_path, std=2.0)
     model = json.loads((tmp_path / "m.json").read_text())
     del model["stats_digest"]
+    model["calibrated"] = True
     (tmp_path / "m.json").write_text(json.dumps(model))
     return args
 
@@ -636,6 +647,10 @@ def _schema_file(tmp_path, text):
             "--out-dir", str(tmp_path / "splits")]
 
 
+_PRE_DIGEST_MODEL = ("model: calibrated without a stats_digest, as written before digests "
+                     "were recorded; run train again")
+
+
 @pytest.mark.parametrize("make_args, message", [
     (lambda t: _features_file(t, "a,pan,0.1,0.2", "b,pan,0.3"), "row 2"),
     (lambda t: _features_file(t, "a,pan,0.1,abc", "b,pan,0.3,0.4"), "row 1 (a)"),
@@ -681,7 +696,9 @@ def _schema_file(tmp_path, text):
         t, "train", "--train", str(t / "x.csv"), "--val", str(t / "x.csv"),
         "--schema", "modern4", "--out", str(t / "m.json")), ""),
      "features.csv are already calibrated"),
-    (lambda t: _model_field(t, "calibrated", True), "model was trained on calibrated features"),
+    (lambda t: _model_field(t, "calibrated", True), _PRE_DIGEST_MODEL),
+    (lambda t: _model_field(t, "stats_digest", _unit_mean_digest(2)),
+     "model was trained on calibrated features"),
     (lambda t: _with_stats(t, _eval_model(t)), "model was trained uncalibrated"),
     (lambda t: _model_field(t, "config_hash", "g"), "config hash"),
     (_features_without_hash, "config hash mismatch: features '' vs model 'h'"),
@@ -693,16 +710,15 @@ def _schema_file(tmp_path, text):
      f"statistics mismatch: features calibrated with '0123456789ab' "
      f"vs model trained with {_unit_mean_digest(2)!r}"),
     (lambda t: _on_table_calibrated_with(t, None),
-     f"statistics mismatch: features calibrated with None "
-     f"vs model trained with {_unit_mean_digest(2)!r}"),
-    (_model_without_digest, f"statistics mismatch: features calibrated with "
-                            f"{_unit_mean_digest(2)!r} vs model trained with None"),
+     "f.csv: calibrated without a stats_digest, as written before digests were recorded; "
+     "run normalize again"),
+    (_model_without_digest, _PRE_DIGEST_MODEL),
     *((lambda t, c=command: _one_column_short(t, c),
        "f.csv have 116 descriptor columns, not 117")
       for command in ("stats", "normalize", "train", "eval", "viz")),
-    (lambda t: _viz(t, "seed=0 calibrated=true", "rose", "--label", "pan"),
+    (lambda t: _viz(t, "seed=0 stats_digest=0123456789ab", "rose", "--label", "pan"),
      "features.csv are already calibrated"),
-    (lambda t: _viz(t, "seed=0 calibrated=true", "grid", "--clip-id", "a"),
+    (lambda t: _viz(t, "seed=0 stats_digest=0123456789ab", "grid", "--clip-id", "a"),
      "features.csv are already calibrated"),
     (lambda t: _viz(t, "seed=abc", "grid", "--clip-id", "a"),
      "features.csv: seed must be an integer, got 'abc'"),
@@ -726,7 +742,7 @@ def _schema_file(tmp_path, text):
         "string-features-seed",
         "model-classes-not-schema-classes",
         "normalize-calibrated-table", "train-stats-on-calibrated-table",
-        "calibrated-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
+        "calibrated-model-without-stats", "digest-model-without-stats", "raw-model-with-stats", "model-hash-not-features-hash",
         "model-hash-without-features-hash", "stats-of-calibrated-table",
         "stats-not-training-stats", "table-of-other-stats", "table-without-stats-digest",
         "model-without-stats-digest", "stats-116-columns", "normalize-116-columns",
@@ -778,8 +794,10 @@ def _overwriting(tmp_path, command):
     Path(schema).write_text('{"name": "s", "classes": ["pan"], "remap": {"pan": "pan"}}')
     train = ["train", "--features", features, "--train", split, "--val", split,
              "--schema", "modern4", "--out", model]
+    extract, clip = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan")), str(tmp_path / "c0.y8seq")
     return {
         "extract": (["extract", "--ann", split, "--out", split], "--out", "--ann", split),
+        "extract-clip": (extract[:4] + [clip] + extract[5:], "--out", "--ann row 1's clip", clip),
         "stats": (["stats", "--features", features, "--out", features],
                   "--out", "--features", features),
         "normalize": (["normalize", "--features", features, "--stats", stats, "--out", stats],
@@ -801,9 +819,9 @@ def _overwriting(tmp_path, command):
     }[command]
 
 
-@pytest.mark.parametrize("command", ["extract", "stats", "normalize", "split", "oversample",
-                                     "oversample-schema", "train-log", "train-input", "eval-outputs",
-                                     "eval-predictions", "viz"])
+@pytest.mark.parametrize("command", ["extract", "extract-clip", "stats", "normalize", "split",
+                                     "oversample", "oversample-schema", "train-log", "train-input",
+                                     "eval-outputs", "eval-predictions", "viz"])
 def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
     # each exited 0 with one file lost: train --out X --log X kept the log,
     # eval kept only the confusion table, stats wrote over its features
@@ -1485,8 +1503,7 @@ def _embed_per_row(clips_dir, clip_ids, seed, dim):
     the projection drawn per clip by a provider of its own."""
     rows = [dgme.model.StubEmbeddingProvider(seed=seed, dim=dim).embed(
                 dgme.cli.read_y8seq(Path(clips_dir) / f"{cid}.y8seq")) for cid in clip_ids]
-    return (np.array(rows).reshape(len(rows), dim),
-            dgme.model.StubEmbeddingProvider(seed=seed, dim=dim))
+    return np.array(rows).reshape(len(rows), dim)
 
 
 def test_cli_fusion_train_embeds_each_clip_once(mini_corpus, tmp_path, monkeypatch):
