@@ -83,10 +83,10 @@ def _seed(value: str) -> int:
 _SPLIT_PARTS = ("train", "val", "test")
 
 
-def _refuse_overwrites(command: _Parser, args) -> None:
+def _refuse_overwrites(command: _Parser, args) -> dict:
     """Refuse, before ``command`` reads anything, an output that names the
     same file as another output or as an existing input file: a later write
-    would replace it."""
+    would replace it. Returns the option of each output by its real path."""
     outputs, inputs = [], []
     for action, writes in command.file_options:
         flag, value = action.option_strings[0], getattr(args, action.dest)
@@ -105,6 +105,20 @@ def _refuse_overwrites(command: _Parser, args) -> None:
             raise UsageError(f"{written[real]} and {flag} name the same file {value}")
         if k < len(outputs):
             written[real] = flag
+    return written
+
+
+def _refuse_outputs_in_clips(outputs: dict, clips) -> None:
+    """Refuse, before the first clip is read, an output that is, or lies
+    inside, one of the (name, path) ``clips`` the command reads; ``outputs``
+    is ``_refuse_overwrites``' option of each output by its real path."""
+    for name, clip in clips:
+        real = os.path.realpath(clip)
+        for out, flag in outputs.items():
+            if out == real:
+                raise UsageError(f"{flag} and {name} name the same file {clip}")
+            if out.startswith(real + os.sep):
+                raise UsageError(f"{flag} lies inside {name} {clip}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,15 +292,13 @@ def cmd_extract(args) -> int:
 
     clip_ids = [clip_id(rel) for rel, _ in rows]
     refuse_repeated_ids("annotations", ann_path, clip_ids)
-    out_real = os.path.realpath(args.out)
-    tasks = []
-    for i, (rel, _) in enumerate(rows):
-        clip_path = root / rel
-        if os.path.realpath(clip_path) == out_real:
-            raise UsageError(f"--out and --ann row {i + 1}'s clip name the same file {args.out}")
+    clip_paths = [root / rel for rel, _ in rows]
+    _refuse_outputs_in_clips(args.outputs, [(f"--ann row {i}'s clip", path)
+                                            for i, path in enumerate(clip_paths, 1)])
+    for i, clip_path in enumerate(clip_paths, 1):
         if not clip_path.exists():
-            raise DataError(f"row {i + 1}: clip file missing: {clip_path}")
-        tasks.append((i, str(clip_path), sampling, args.mthr))
+            raise DataError(f"row {i}: clip file missing: {clip_path}")
+    tasks = [(i, str(path), sampling, args.mthr) for i, path in enumerate(clip_paths)]
 
     workers = min(args.jobs, len(tasks))  # at most one worker per clip
     if workers <= 1:
@@ -451,14 +463,18 @@ def _join_split(split_path, split, features_path, clip_ids, matrix):
             np.array(ys, dtype=np.int64))
 
 
+def _fusion_clips(clips_dir, clip_ids):
+    """(name, path) of the ``--clips`` file of each of ``clip_ids``."""
+    return [(f"--clips' {cid}", Path(clips_dir) / f"{cid}.y8seq") for cid in clip_ids]
+
+
 def _embed_clips(clips_dir, clip_ids, seed, dim):
     """Stub embedding rows of width ``dim`` for ``clip_ids`` in order, each
     clip read and embedded by the provider seeded with ``seed``."""
     from dgme import model as mdl
 
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
-    root = Path(clips_dir)
-    rows = [provider.embed(read_y8seq(root / f"{cid}.y8seq")) for cid in clip_ids]
+    rows = [provider.embed(read_y8seq(path)) for _, path in _fusion_clips(clips_dir, clip_ids)]
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
@@ -484,7 +500,9 @@ def cmd_train(args) -> int:
 
     xb_train = xb_val = None
     if mode == "fusion":
-        xb = _embed_clips(args.clips, train_ids + val_ids, args.seed, mdl.EMBED_DIM)
+        ids = train_ids + val_ids
+        _refuse_outputs_in_clips(args.outputs, _fusion_clips(args.clips, ids))
+        xb = _embed_clips(args.clips, ids, args.seed, mdl.EMBED_DIM)
         xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
     cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
@@ -538,6 +556,7 @@ def cmd_eval(args) -> int:
                 raise UsageError("evaluating a fusion model requires --clips")
             if seed < 0:  # numpy's seeding would refuse it as a bad option
                 raise DataError(f"{args.model}: a fusion model's seed must be >= 0, got {seed}")
+            _refuse_outputs_in_clips(args.outputs, _fusion_clips(args.clips, ids))
             backbone = _embed_clips(args.clips, ids, seed, params.backbone_dim)
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone, rows), params)
         predictions = [(cid, schema.classes[k])
@@ -591,7 +610,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _refuse_overwrites(parser.commands[args.command], args)
+        args.outputs = _refuse_overwrites(parser.commands[args.command], args)
         return args.func(args)
     except (DgmeError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)

@@ -48,7 +48,7 @@ EMBED_DIM = 64
 
 @dataclass
 class FusionHeadParams:
-    alpha: float
+    alpha: np.ndarray
     ln_gain: np.ndarray
     ln_bias: np.ndarray
     W: np.ndarray  # (num_classes, C + D), backbone block first
@@ -58,6 +58,7 @@ class FusionHeadParams:
     descriptor_dim: int
 
     def __post_init__(self):
+        self.alpha = np.array(float(self.alpha))  # 0-d, so that AdamW steps it in place
         self.ln_gain = np.asarray(self.ln_gain, dtype=np.float64)
         self.ln_bias = np.asarray(self.ln_bias, dtype=np.float64)
         self.W = np.asarray(self.W, dtype=np.float64)
@@ -143,7 +144,7 @@ def backward(backbone: np.ndarray, dgme: np.ndarray, labels: np.ndarray,
              params: FusionHeadParams) -> tuple[float, dict]:
     """Mean cross-entropy over the batch and its analytic gradients.
 
-    Returns (loss, grads) with grads keyed alpha, ln_gain, ln_bias, W, b.
+    Returns (loss, grads), grads keyed by parameter: alpha, ln_gain, ln_bias, W, b.
     Features are constants, so the chain rule stops at the parameters:
     d_logits = (p - onehot)/B, dW = d_logits' @ fused, db = sum d_logits,
     and the descriptor block of W' @ d_logits drives alpha and the
@@ -186,10 +187,7 @@ def backward(backbone: np.ndarray, dgme: np.ndarray, labels: np.ndarray,
 def cosine_lr(step: int, total_steps: int) -> float:
     """Cosine annealing from ``LR_MAX`` (step 0) to ``COSINE_FLOOR`` (step
     total_steps)."""
-    if total_steps <= 0:
-        return LR_MAX
-    t = min(max(step, 0), total_steps)
-    return COSINE_FLOOR + (LR_MAX - COSINE_FLOOR) * 0.5 * (1.0 + np.cos(np.pi * t / total_steps))
+    return COSINE_FLOOR + (LR_MAX - COSINE_FLOOR) * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
 def init_params(class_names, backbone_dim: int, descriptor_dim: int,
@@ -222,11 +220,6 @@ def predict(features: LabeledFeatures, params: FusionHeadParams) -> np.ndarray:
     return probs.argmax(axis=1)[features.rows]
 
 
-def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> float:
-    cm = confusion_from_indices(y_true, y_pred, num_classes)
-    return metrics_from_confusion(cm).macro_f1
-
-
 def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
           cfg: TrainConfig) -> tuple[FusionHeadParams, list[dict]]:
     """Train a head with AdamW + cosine annealing; early stop on val macro F1.
@@ -249,13 +242,9 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
         class_names, train_set.backbone.shape[1], train_set.dgme.shape[1], seed=cfg.seed
     )
     beta1, beta2 = ADAMW_BETAS
-    # alpha is stepped as a 0-d array and copied back to the float field
-    alpha_arr = np.array(params.alpha)
-    slots = [
-        (key, p, np.zeros_like(p), np.zeros_like(p))
-        for key, p in (("alpha", alpha_arr), ("ln_gain", params.ln_gain),
-                       ("ln_bias", params.ln_bias), ("W", params.W), ("b", params.b))
-    ]
+    # AdamW's first and second moments of each parameter array
+    moments = {key: (np.zeros_like(p), np.zeros_like(p))
+               for key, p in vars(params).items() if isinstance(p, np.ndarray)}
 
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -264,13 +253,11 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
     best_f1 = -1.0
     best_params = params.copy()
     stall = 0
-    adam_t = 0
     global_step = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         losses = []
-        lr = LR_MAX
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rows = train_set.rows[idx]
@@ -279,11 +266,11 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
                 train_set.backbone[rows], train_set.dgme[rows], train_set.labels[idx], params
             )
             losses.append(loss)
-            adam_t += 1
-            bc1 = 1.0 - beta1 ** adam_t
-            bc2 = 1.0 - beta2 ** adam_t
-            for key, p, m, v in slots:
-                g = np.asarray(grads[key], dtype=np.float64)
+            global_step += 1
+            bc1 = 1.0 - beta1 ** global_step
+            bc2 = 1.0 - beta2 ** global_step
+            for key, g in grads.items():
+                p, (m, v) = getattr(params, key), moments[key]
                 m *= beta1
                 m += (1.0 - beta1) * g
                 v *= beta2
@@ -294,10 +281,9 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
                     # decoupled decay on the linear weights only; decaying the
                     # gate or the affine norm parameters would bias the fusion
                     p -= lr * WEIGHT_DECAY * p
-            params.alpha = float(alpha_arr)
-            global_step += 1
 
-        val_f1 = _macro_f1(val_set.labels, predict(val_set, params), len(class_names))
+        cm = confusion_from_indices(val_set.labels, predict(val_set, params), len(class_names))
+        val_f1 = metrics_from_confusion(cm).macro_f1
         log.append(
             {
                 "epoch": epoch,
@@ -305,7 +291,7 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
                 "lr": lr,
                 "train_loss": float(np.mean(losses)),
                 "val_macro_f1": val_f1,
-                "alpha": params.alpha,
+                "alpha": float(params.alpha),
             }
         )
         if val_f1 > best_f1:
@@ -374,44 +360,40 @@ class StubEmbeddingProvider:
 # serialization
 # ---------------------------------------------------------------------------
 
+# the model file's fields after its metadata, in file order
+MODEL_FIELDS = ("class_names", "backbone_dim", "descriptor_dim", "alpha",
+                "ln_gain", "ln_bias", "W", "b")
+
+
 def save_model_json(path, params: FusionHeadParams, meta: dict) -> None:
     """JSON with explicit dims and row-major weights; floats round-trip
     exactly through repr."""
-    write_json(path, meta, {
-        "class_names": params.class_names,
-        "backbone_dim": params.backbone_dim,
-        "descriptor_dim": params.descriptor_dim,
-        "alpha": params.alpha,
-        "ln_gain": params.ln_gain.tolist(),
-        "ln_bias": params.ln_bias.tolist(),
-        "W": params.W.tolist(),
-        "b": params.b.tolist(),
-    })
+    fields = {key: getattr(params, key) for key in MODEL_FIELDS}
+    write_json(path, meta, {key: value.tolist() if isinstance(value, np.ndarray) else value
+                            for key, value in fields.items()})
 
 
 def load_model_json(path) -> tuple[FusionHeadParams, dict]:
     payload = read_json(path, "model")
     try:
         params = FusionHeadParams(
-            alpha=float(numbers(payload["alpha"])),
-            ln_gain=np.array(numbers(payload["ln_gain"]), dtype=np.float64),
-            ln_bias=np.array(numbers(payload["ln_bias"]), dtype=np.float64),
-            W=np.array(numbers(payload["W"]), dtype=np.float64),
-            b=np.array(numbers(payload["b"]), dtype=np.float64),
+            alpha=numbers(payload["alpha"]),
+            ln_gain=numbers(payload["ln_gain"]),
+            ln_bias=numbers(payload["ln_bias"]),
+            W=numbers(payload["W"]),
+            b=numbers(payload["b"]),
             class_names=list(payload["class_names"]),
             backbone_dim=int(payload["backbone_dim"]),
             descriptor_dim=int(payload["descriptor_dim"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc
-    keys = ("class_names", "backbone_dim", "descriptor_dim", "alpha",
-            "ln_gain", "ln_bias", "W", "b")
-    meta = {k: v for k, v in payload.items() if k not in keys}
+    meta = {k: v for k, v in payload.items() if k not in MODEL_FIELDS}
     return params, meta
 
 
 def write_training_log(path, log: list[dict], meta: dict) -> None:
-    floats = ("lr", "train_loss", "val_macro_f1", "alpha")
-    write_table(path, "trainlog", meta, ["epoch", "step", *floats],
-                ([row["epoch"], row["step"], *(f"{row[k]:.9g}" for k in floats)]
+    """One column per key of ``train``'s log rows: counts as integers, the rest ``%.9g``."""
+    write_table(path, "trainlog", meta, list(log[0]),
+                ([v if isinstance(v, int) else f"{v:.9g}" for v in row.values()]
                  for row in log))

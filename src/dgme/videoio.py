@@ -194,8 +194,6 @@ def _read_frame_dir(path: Path) -> np.ndarray:
 def _resized_shape(h: int, w: int, target: int) -> tuple[int, int]:
     """(height, width) of an h x w frame resized so that its shorter side
     equals ``target`` exactly."""
-    if min(h, w) == target:
-        return h, w
     if h <= w:
         return target, max(target, int(round(w * target / h)))
     return max(target, int(round(h * target / w))), target

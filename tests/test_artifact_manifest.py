@@ -19,9 +19,31 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from dgme.cli import main
+from dgme.synth import SynthSpec, make_clip
 
 MANIFEST = Path(__file__).with_name("artifact_manifest.json")
+
+
+def _write_frame_dirs(root: Path) -> None:
+    """Clips as real footage enters the system, as directories of frames,
+    under ``root / "frames"``: a 48 px pan clip as P5 (PGM) frames, and a
+    64 px zoom clip cut to 48 x 64 as P6 (PPM) frames with unequal
+    channels; ``annotations.csv`` lists both."""
+    frames = root / "frames"
+    pan = make_clip(SynthSpec("pan", frames=4, size=48, motion_magnitude=2.5, texture_seed=5))
+    zoom = make_clip(SynthSpec("zoom", frames=4, size=64, motion_magnitude=1.5, texture_seed=6))
+    (frames / "pan_p5").mkdir(parents=True)
+    for k, frame in enumerate(pan.frames):
+        (frames / "pan_p5" / f"{k:03d}.pgm").write_bytes(b"P5\n48 48\n255\n" + frame.tobytes())
+    (frames / "zoom_p6").mkdir()
+    for k, frame in enumerate(zoom.frames[:, 8:56]):
+        rgb = np.stack([frame, 255 - frame, frame // 2], axis=-1)
+        (frames / "zoom_p6" / f"{k:03d}.ppm").write_bytes(b"P6\n# rgb\n64 48\n255\n"
+                                                           + rgb.tobytes())
+    (frames / "annotations.csv").write_text("clip_path,label\npan_p5,pan\nzoom_p6,zoom\n")
 
 
 def _sequence(root: Path) -> list[list[str]]:
@@ -41,6 +63,8 @@ def _sequence(root: Path) -> list[list[str]]:
          "--jobs", "2", *extract],
         ["extract", "--ann", str(hist / "annotations.csv"), "--out", str(root / "hist.csv"),
          "--jobs", "2", *extract],
+        ["extract", "--ann", str(root / "frames" / "annotations.csv"),
+         "--out", str(root / "frames.csv"), "--jobs", "1", *extract],
         ["stats", "--features", str(root / "mod_j1.csv"), "--out", str(root / "stats.json"),
          "--seed", "3"],
         ["normalize", "--features", str(root / "mod_j1.csv"), "--stats", str(root / "stats.json"),
@@ -85,8 +109,10 @@ def _sequence(root: Path) -> list[list[str]]:
 
 
 def run_sequence(root: Path) -> dict[str, str]:
-    """Run the pinned sequence under ``root``; the sha256 of every file it
-    wrote, keyed by its path under ``root``."""
+    """Write the frame directories and run the pinned sequence under
+    ``root``; the sha256 of every file written, keyed by its path under
+    ``root``."""
+    _write_frame_dirs(root)
     for argv in _sequence(root):
         assert main(argv) == 0, argv
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -784,7 +784,8 @@ def test_cli_refused_multi_output_command_writes_no_output(tmp_path, capsys, com
 
 def _overwriting(tmp_path, command):
     """``command`` on ``_eval_model``'s files, with an output naming another
-    output or an input; returns (argv, the two options, the path)."""
+    output, an input or a clip; returns (argv, the two options, the path),
+    or (argv, the error line) for an output inside a directory clip."""
     eval_args = _eval_model(tmp_path)
     split, features, model = (str(tmp_path / n) for n in ("split.csv", "f.csv", "m.json"))
     stats = _stats_file(tmp_path)
@@ -794,10 +795,27 @@ def _overwriting(tmp_path, command):
     Path(schema).write_text('{"name": "s", "classes": ["pan"], "remap": {"pan": "pan"}}')
     train = ["train", "--features", features, "--train", split, "--val", split,
              "--schema", "modern4", "--out", model]
-    extract, clip = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan")), str(tmp_path / "c0.y8seq")
+    # the clips of the split's rows a and b, and a fusion head over them
+    extract = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"), ("a.y8seq", 2, "pan"),
+                            ("b.y8seq", 2, "tilt"))
+    clip, a, b = (str(tmp_path / f"{cid}.y8seq") for cid in ("c0", "a", "b"))
+    fusion = json.loads(Path(model).read_text())
+    fusion.update(backbone_dim=64, W=[[0.0] * (64 + 117)] * 4)
+    Path(tmp_path / "fusion.json").write_text(json.dumps(fusion))
+    eval_fusion = eval_args[:1] + ["--clips", str(tmp_path)] + eval_args[1:]
+    eval_fusion[eval_fusion.index(model)] = str(tmp_path / "fusion.json")
+    (tmp_path / "d").mkdir()
+    frames = _pgm_dir_corpus(tmp_path / "d", b"P5 16 16 255\n" + bytes(256))
+    frame = str(tmp_path / "d" / "clip" / "f0.pgm")
+    fusion_stats = _stats_file(tmp_path / "d")  # s.json under tmp_path is the schema
     return {
         "extract": (["extract", "--ann", split, "--out", split], "--out", "--ann", split),
         "extract-clip": (extract[:4] + [clip] + extract[5:], "--out", "--ann row 1's clip", clip),
+        "extract-dir-clip": (frames[:4] + [frame] + frames[5:],
+                             f"error: --out lies inside --ann row 1's clip {tmp_path / 'd' / 'clip'}"),
+        "train-fusion-clip": (train[:-1] + [a, "--mode", "fusion", "--clips", str(tmp_path),
+                                            "--stats", fusion_stats], "--out", "--clips' a", a),
+        "eval-fusion-clip": (eval_fusion[:-1] + [b], "--out-confusion", "--clips' b", b),
         "stats": (["stats", "--features", features, "--out", features],
                   "--out", "--features", features),
         "normalize": (["normalize", "--features", features, "--stats", stats, "--out", stats],
@@ -819,19 +837,24 @@ def _overwriting(tmp_path, command):
     }[command]
 
 
-@pytest.mark.parametrize("command", ["extract", "extract-clip", "stats", "normalize", "split",
-                                     "oversample", "oversample-schema", "train-log", "train-input",
-                                     "eval-outputs", "eval-predictions", "viz"])
+@pytest.mark.parametrize("command", ["extract", "extract-clip", "extract-dir-clip", "stats",
+                                     "normalize", "split", "oversample", "oversample-schema",
+                                     "train-log", "train-input", "train-fusion-clip",
+                                     "eval-outputs", "eval-predictions", "eval-fusion-clip",
+                                     "viz"])
 def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
     # each exited 0 with one file lost: train --out X --log X kept the log,
-    # eval kept only the confusion table, stats wrote over its features
-    args, first, second, path = _overwriting(tmp_path, command)
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+    # eval kept only the confusion table, stats wrote over its features,
+    # and extract, train and eval wrote over a clip they had read
+    args, *expected = _overwriting(tmp_path, command)
+    if len(expected) == 3:
+        first, second, path = expected
+        expected = [f"error: {first} and {second} name the same file {path}"]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     rc = main(args)
     assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {first} and {second} name the same file {path}"]
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+    assert capsys.readouterr().err.splitlines() == expected
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_cli_schema_name_is_not_an_input_file(tmp_path, monkeypatch):
