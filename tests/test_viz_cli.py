@@ -811,8 +811,8 @@ def _overwriting(tmp_path, command):
     return {
         "extract": (["extract", "--ann", split, "--out", split], "--out", "--ann", split),
         "extract-clip": (extract[:4] + [clip] + extract[5:], "--out", "--ann row 1's clip", clip),
-        "extract-dir-clip": (frames[:4] + [frame] + frames[5:],
-                             f"error: --out lies inside --ann row 1's clip {tmp_path / 'd' / 'clip'}"),
+        "extract-dir-clip": (frames[:4] + [frame] + frames[5:], "error: --out lies inside "
+                             f"--ann row 1's clip {tmp_path / 'd' / 'clip'}"),
         "train-fusion-clip": (train[:-1] + [a, "--mode", "fusion", "--clips", str(tmp_path),
                                             "--stats", fusion_stats], "--out", "--clips' a", a),
         "eval-fusion-clip": (eval_fusion[:-1] + [b], "--out-confusion", "--clips' b", b),
