@@ -63,10 +63,10 @@ class NormStats:
 def _sha256_hex(payload: bytes) -> str:
     """Hex SHA-256 of ``payload`` from the interpreter's built-in SHA-256
     module (``_sha2`` from CPython 3.12, ``_sha256`` before), the one
-    ``hashlib`` itself falls back to. ``import hashlib`` maps OpenSSL's
-    libcrypto, about 3.4 MB resident, into a command that needs two short
-    digests; only a build that leaves SHA-256 to OpenSSL takes the same
-    digest through ``hashlib``."""
+    ``hashlib`` itself falls back to. A plain ``import hashlib`` maps
+    OpenSSL's libcrypto, about 3.4 MB resident, into a command that needs
+    two short digests; only a build that leaves SHA-256 to OpenSSL takes
+    the same digest through ``hashlib``."""
     try:
         from _sha2 import sha256
     except ImportError:

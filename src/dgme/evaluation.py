@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from dgme._meta import read_json, read_table, write_json, write_table
+from dgme._random import default_rng
 from dgme.errors import DataError
 
 DROP = "DROP"
@@ -122,7 +123,7 @@ def stratified_split(aset: AnnotatedSet,
     floor(ratio * n) for each of the ``SPLIT_RATIOS``; leftover samples are
     assigned one at a time in the priority order test, train, val.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
     by_class: dict = {c: [] for c in aset.schema.classes}
     for entry in aset.entries:
@@ -159,7 +160,7 @@ def oversample(train: AnnotatedSet, targets: dict, seed: int = 0) -> AnnotatedSe
     a class with no entries is refused. Never apply this to validation or
     test sets.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     by_class: dict = {c: [] for c in train.schema.classes}
     for entry in train.entries:
         by_class[entry[1]].append(entry)

@@ -1,5 +1,7 @@
 """Independent reference implementations the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from dgme.descriptor import BIN_WIDTH, BINS_PER_CELL, DIRECTIONAL_BINS, descriptor_from_polar
@@ -107,27 +109,74 @@ def resize_bilinear_grid(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return sample_bilinear_2d(img, grid_y, grid_x)
 
 
+def _reflect101(i: int, n: int) -> int:
+    """Index ``i`` on an axis of ``n`` samples, reflected about the edge
+    sample without repeating it (reflect-101: -1 -> 1, n -> n - 2), as many
+    times as an axis shorter than the reach needs; a 1-sample axis has
+    only index 0."""
+    if n == 1:
+        return 0
+    period = 2 * (n - 1)
+    i = abs(i) % period
+    return period - i if i >= n else i
+
+
+def _neighbourhood(plane: np.ndarray, y: int, x: int, half: int) -> np.ndarray:
+    """The (2 * half + 1) square of ``plane`` centred on (y, x), with
+    reflect-101 indices; rows are dy = -half..half, columns dx likewise."""
+    h, w = plane.shape[-2:]
+    rows = [_reflect101(y + dy, h) for dy in range(-half, half + 1)]
+    cols = [_reflect101(x + dx, w) for dx in range(-half, half + 1)]
+    return plane[..., rows, :][..., cols]
+
+
 def box_mean_reflect101(planes: np.ndarray, size: int) -> np.ndarray:
     """Mean of each plane of a (k, h, w) stack over the ``size`` x ``size``
-    box centred on every pixel, read pixel by pixel. Out-of-frame indices
-    reflect about the edge pixel without repeating it (reflect-101: -1 -> 1,
-    n -> n - 2), as many times as a plane narrower than the box needs."""
-
-    def reflect(i, n):
-        period = 2 * (n - 1)
-        i = abs(i) % period
-        return period - i if i >= n else i
-
+    box centred on every pixel, read pixel by pixel, over a reflect-101
+    padded neighbourhood."""
     planes = np.asarray(planes, dtype=np.float64)
     _, h, w = planes.shape
-    half = size // 2
     out = np.empty_like(planes)
     for y in range(h):
-        rows = [reflect(y + dy, h) for dy in range(-half, half + 1)]
         for x in range(w):
-            cols = [reflect(x + dx, w) for dx in range(-half, half + 1)]
-            out[:, y, x] = planes[:, rows][:, :, cols].sum(axis=(1, 2)) / (size * size)
+            out[:, y, x] = _neighbourhood(planes, y, x, size // 2).sum(axis=(1, 2)) / (size * size)
     return out
+
+
+def poly_expand_wls(img: np.ndarray, n: int, sigma: float) -> tuple:
+    """Farneback's polynomial expansion as he states it (2003, "Two-Frame
+    Motion Estimation Based on Polynomial Expansion"): at every pixel, the
+    weighted least-squares fit of f(dx, dy) ~ c + bx dx + by dy + axx dx^2
+    + ayy dy^2 + axy dx dy over the n x n reflect-101 padded neighbourhood,
+    under the separable Gaussian applicability exp(-d^2 / (2 sigma^2)) of
+    each axis, solved pixel by pixel with ``np.linalg.solve``. dx counts
+    columns and dy rows. Returns (axx, ayy, axy / 2, bx, by), the planes of
+    ``flow._poly_expand``."""
+    img = np.asarray(img, dtype=np.float64)
+    half = n // 2
+    dy, dx = (d.ravel() for d in np.mgrid[-half:half + 1, -half:half + 1].astype(np.float64))
+    basis = np.stack([np.ones_like(dx), dx, dy, dx * dx, dy * dy, dx * dy], axis=1)
+    weight = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+    weighted = basis.T * weight
+    coefficients = np.empty(img.shape + (6,))
+    for y, x in np.ndindex(img.shape):
+        f = _neighbourhood(img, y, x, half).ravel()
+        coefficients[y, x] = np.linalg.solve(weighted @ basis, weighted @ f)
+    _, bx, by, axx, ayy, axy = np.moveaxis(coefficients, -1, 0)
+    return axx, ayy, axy / 2.0, bx, by
+
+
+def cart2polar_per_pixel(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude and angle in degrees of each (u, v), one pixel at a time
+    with ``math``: the angle of atan2(v, u) in [0, 360), and 0 where the
+    magnitude is 0."""
+    m = np.empty(np.shape(u))
+    theta = np.empty(np.shape(u))
+    for idx in np.ndindex(m.shape):
+        du, dv = float(u[idx]), float(v[idx])
+        m[idx] = math.hypot(du, dv)
+        theta[idx] = math.degrees(math.atan2(dv, du)) % 360.0 if m[idx] else 0.0
+    return m, theta
 
 
 def cell_histogram(polar: PolarFlow, cell: tuple[int, int, int, int],

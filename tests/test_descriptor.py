@@ -116,6 +116,23 @@ def test_identical_frames_all_static_mass():
     assert np.linalg.norm(desc) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("threshold", [CFG, 1.25])
+def test_magnitude_at_the_threshold_counts_as_moving(threshold):
+    # a 6x6 frame is nine 2x2 cells; cell 0 holds one pixel exactly at the
+    # threshold, at 45 degrees, and cell 1 one just below it
+    m = np.zeros((6, 6), dtype=np.float32)
+    theta = np.zeros((6, 6), dtype=np.float32)
+    m[0, 0], theta[0, 0] = threshold, 45.0
+    m[0, 2], theta[0, 2] = np.nextafter(np.float32(threshold), np.float32(0.0)), 45.0
+    expected = np.zeros((9, 13))
+    expected[:, 12] = threshold * 4
+    expected[0, 1] = threshold
+    expected[0, 12] = threshold * 3
+    expected = expected.ravel() / np.linalg.norm(expected)
+    got = descriptor_from_polar([PolarFlow(m, theta)], threshold)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 def test_pan_right_clip_block_oracle_argmax_bin_zero():
     spec = synth.SynthSpec("pan", frames=6, size=96, motion_magnitude=2.0,
                            direction_sign=1, texture_seed=5)

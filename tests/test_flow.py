@@ -23,6 +23,8 @@ from dgme.flow import FlowField, cart2polar, farneback_flow
 from oracles import (
     block_match_flow,
     box_mean_reflect101,
+    cart2polar_per_pixel,
+    poly_expand_wls,
     resize_bilinear_grid,
     sample_bilinear_2d,
 )
@@ -80,6 +82,31 @@ def test_cart2polar_rotation_covariance(u, v, phi):
     diff = (float(polar1.theta[0, 0]) - float(polar0.theta[0, 0])) % 360.0
     delta = (diff - phi) % 360.0
     assert min(delta, 360.0 - delta) < 1e-2
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=1, seed=0)
+@example(h=3, w=9, seed=1)
+@example(h=12, w=12, seed=2)
+def test_cart2polar_matches_per_pixel_reference(h, w, seed):
+    # values on the axes, both signed zeros and the origin among random ones
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(0.0, 3.0, size=(2, h, w))
+    axes = np.array([0.0, -0.0, 1.5, -1.5])
+    pick = rng.random((2, h, w)) < 0.3
+    u[pick[0]] = rng.choice(axes, size=int(pick[0].sum()))
+    v[pick[1]] = rng.choice(axes, size=int(pick[1].sum()))
+    field = FlowField(u, v)
+    polar = cart2polar(field)
+    m, theta = cart2polar_per_pixel(field.u, field.v)
+    # tolerances fixed before the first run: both sides compute in float64
+    # from the same float32 inputs and store float32
+    np.testing.assert_allclose(polar.m, m.astype(np.float32), rtol=1e-6, atol=0)
+    gap = np.abs(polar.theta.astype(np.float64) - theta.astype(np.float32)) % 360.0
+    assert float(np.minimum(gap, 360.0 - gap).max()) <= 1e-4
+    assert ((polar.theta >= 0.0) & (polar.theta < 360.0)).all()
+    assert (polar.theta[m == 0.0] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +293,22 @@ def test_window_mean_matches_per_pixel_reflect101_box(h, w, n_planes, seed):
     out = flow._window_mean(planes)
     assert out is planes
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(1, 13), w=st.integers(1, 13), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=1, seed=0)
+@example(h=1, w=7, seed=1)
+@example(h=4, w=2, seed=2)
+@example(h=11, w=13, seed=3)
+def test_poly_expand_matches_per_pixel_least_squares(h, w, seed):
+    # pyramid levels go down to POLY_N + 2 px; planes narrower than the
+    # 5-tap applicability reflect more than once, and a 1 px axis has one
+    # sample. Tolerance fixed before the first run, on 8-bit-range planes
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    expected = poly_expand_wls(img, flow.POLY_N, flow.POLY_SIGMA)
+    for got, want in zip(flow._poly_expand(img), expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 4), (7, 14), (15, 16), (40, 33)],

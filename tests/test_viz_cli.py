@@ -791,7 +791,7 @@ def _overwriting(tmp_path, command):
     stats = _stats_file(tmp_path)
     test = str(tmp_path / "test.csv")
     (tmp_path / "test.csv").write_text("clip_path,label\na.y8seq,pan\n")
-    schema = str(tmp_path / "s.json")
+    schema = str(tmp_path / "schema.json")
     Path(schema).write_text('{"name": "s", "classes": ["pan"], "remap": {"pan": "pan"}}')
     train = ["train", "--features", features, "--train", split, "--val", split,
              "--schema", "modern4", "--out", model]
@@ -807,14 +807,13 @@ def _overwriting(tmp_path, command):
     (tmp_path / "d").mkdir()
     frames = _pgm_dir_corpus(tmp_path / "d", b"P5 16 16 255\n" + bytes(256))
     frame = str(tmp_path / "d" / "clip" / "f0.pgm")
-    fusion_stats = _stats_file(tmp_path / "d")  # s.json under tmp_path is the schema
     return {
         "extract": (["extract", "--ann", split, "--out", split], "--out", "--ann", split),
         "extract-clip": (extract[:4] + [clip] + extract[5:], "--out", "--ann row 1's clip", clip),
         "extract-dir-clip": (frames[:4] + [frame] + frames[5:], "error: --out lies inside "
                              f"--ann row 1's clip {tmp_path / 'd' / 'clip'}"),
         "train-fusion-clip": (train[:-1] + [a, "--mode", "fusion", "--clips", str(tmp_path),
-                                            "--stats", fusion_stats], "--out", "--clips' a", a),
+                                            "--stats", stats], "--out", "--clips' a", a),
         "eval-fusion-clip": (eval_fusion[:-1] + [b], "--out-confusion", "--clips' b", b),
         "stats": (["stats", "--features", features, "--out", features],
                   "--out", "--features", features),
@@ -1449,7 +1448,8 @@ _MODULES_PROBE = ("import json, sys\n"
 def test_cli_head_commands_load_only_the_modules_they_run(mini_corpus, tmp_path):
     # no head command synthesizes, draws or pools, and stats hashes nothing;
     # each of these modules was imported by every command. split and oversample
-    # load hashlib and OpenSSL with numpy.random, whose import loads secrets and hmac
+    # load hashlib with numpy.random, whose import loads secrets and hmac; it
+    # takes CPython's built-in digests, without OpenSSL (see below)
     features, corpus = str(mini_corpus / "features.csv"), str(mini_corpus / "corpus")
     stats, splits, oversampled = (str(tmp_path / n) for n in ("s.json", "splits", "os.csv"))
     train = ["train", "--features", features, "--train", oversampled,
@@ -1519,6 +1519,52 @@ def test_cli_descriptor_commands_never_load_openssl(mini_corpus, tmp_path, comma
     loaded = json.loads(child.stdout.splitlines()[-1])
     assert [name for name, _ in loaded] == ["import", argv[0]]
     assert [name for name, modules in loaded if {"hashlib", "_hashlib"} & set(modules)] == []
+
+
+def _drawing_commands(mini_corpus, tmp_path):
+    """Each command that draws random numbers, by name, on the mini corpus;
+    the splits and the fusion head they read are made here first."""
+    features, corpus = str(mini_corpus / "features.csv"), str(mini_corpus / "corpus")
+    splits = tmp_path / "splits"
+    assert main(_split_args(mini_corpus, splits)) == 0
+    train = ["train", "--features", features, "--train", str(splits / "train.csv"),
+             "--val", str(splits / "val.csv"), "--schema", "modern4", "--epochs", "1"]
+    fusion = train + ["--mode", "fusion", "--clips", corpus]
+    assert main(fusion + ["--out", str(tmp_path / "f.json")]) == 0
+    return {
+        "synth": ["synth", "--classes", "pan,zoom", "--per-class", "1", "--domain", "historical",
+                  "--size", "32", "--frames", "3", "--out", str(tmp_path / "c")],
+        "split": _split_args(mini_corpus, tmp_path / "splits2"),
+        "oversample": ["oversample", "--split", str(splits / "train.csv"), "--schema", "modern4",
+                       "--targets", "static=9,tilt=9,pan=9,zoom=9",
+                       "--out", str(tmp_path / "os.csv")],
+        "train-dgme-only": train + ["--mode", "dgme-only", "--out", str(tmp_path / "d.json")],
+        "train-fusion": fusion + ["--out", str(tmp_path / "f2.json")],
+        "eval-fusion": ["eval", "--split", str(splits / "test.csv"), "--schema", "modern4",
+                        "--model", str(tmp_path / "f.json"), "--features", features,
+                        "--clips", corpus, "--out-metrics", str(tmp_path / "m.json"),
+                        "--out-confusion", str(tmp_path / "c.csv")],
+    }
+
+
+# runs the command of the argv list given as JSON and prints whether
+# OpenSSL's _hashlib is loaded and whether libcrypto is mapped (Linux only)
+_OPENSSL_PROBE = ("import json, sys\n"
+                  "import dgme.cli\n"
+                  "assert dgme.cli.main(json.loads(sys.argv[1])) == 0\n"
+                  "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+                  "print(json.dumps(['_hashlib' in sys.modules, 'libcrypto' in maps]))\n")
+
+
+@pytest.mark.parametrize("command", ["synth", "split", "oversample", "train-dgme-only",
+                                     "train-fusion", "eval-fusion"])
+def test_cli_commands_that_draw_numbers_never_map_openssl(mini_corpus, tmp_path, command):
+    # numpy.random imports secrets, hmac and hashlib; with OpenSSL's _hashlib
+    # they mapped libcrypto, about 3.4 MB resident, into each of these
+    argv = _drawing_commands(mini_corpus, tmp_path)[command]
+    child = _fresh_python(_OPENSSL_PROBE, json.dumps(argv))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == [False, False]
 
 
 def _embed_per_row(clips_dir, clip_ids, seed, dim):
