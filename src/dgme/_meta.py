@@ -136,3 +136,14 @@ def numbers(value):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise ValueError(f"expected a number, got {value!r:.40}")
+
+
+def integer(value) -> int:
+    """``value`` if it is an int or a string of one, as an int, else a
+    ValueError: ``int()`` would take ``true`` as 1 and truncate 117.9."""
+    try:
+        if type(value) in (int, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"expected an integer, got {value!r:.40}")

@@ -1,14 +1,16 @@
 """Command-line pipeline: synth -> extract -> stats -> split -> train -> eval.
 
-Every artifact embeds {version, seed, config_hash} metadata in a header
-comment or JSON field, and the whole pipeline is byte-reproducible given
-one seed. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
+Every artifact embeds {version, seed} metadata in a header comment or
+JSON field; features, statistics, models, training logs and SVGs add the
+config_hash of the features. The whole pipeline is byte-reproducible
+given one seed. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
 failure. Errors print a single ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
@@ -19,7 +21,7 @@ import numpy as np
 import dgme
 from dgme import descriptor as dsc
 from dgme import evaluation as ev
-from dgme._meta import refuse_repeated_ids
+from dgme._meta import integer, refuse_repeated_ids
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
@@ -240,12 +242,9 @@ def _meta_int(meta: dict, key: str, default: int, path) -> int:
     when absent); anything else is a data error naming the file and key."""
     value = meta.get(key, default)
     try:
-        number = int(value) if type(value) in (int, str) else None
+        return integer(value)
     except ValueError:
-        number = None
-    if number is None:
-        raise DataError(f"{path}: {key} must be an integer, got {value!r}")
-    return number
+        raise DataError(f"{path}: {key} must be an integer, got {value!r}") from None
 
 
 def cmd_synth(args) -> int:
@@ -481,6 +480,8 @@ def _embed_clips(clips_dir, clip_ids, seed, dim):
 def cmd_train(args) -> int:
     from dgme import model as mdl
 
+    # a bad --epochs or --batch-size is refused before anything is read
+    cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     schema = ev.load_schema(args.schema)
     mode = "dgme_only" if args.mode == "dgme-only" else "fusion"
     if mode == "fusion" and args.stats is None:
@@ -505,7 +506,6 @@ def cmd_train(args) -> int:
         xb = _embed_clips(args.clips, ids, args.seed, mdl.EMBED_DIM)
         xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
-    cfg = mdl.TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     params, log = mdl.train(list(schema.classes),
                             mdl.LabeledFeatures(x_train, y_train, xb_train, r_train),
                             mdl.LabeledFeatures(x_val, y_val, xb_val, r_val), cfg)
@@ -606,15 +606,34 @@ def cmd_viz(args) -> int:
 _EXIT_CODES = ((UsageError, 1), (NumericError, 3), (DgmeError, 2), (ValueError, 1))
 
 
+# the modules hashlib's fallback constructors import
+BUILTIN_DIGESTS = ("_md5", "_sha1",
+                   *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+                   "_blake2", "_sha3")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command with OpenSSL's ``_hashlib`` blocked: ``hashlib`` and
+    ``hmac``, which ``numpy.random`` imports through ``secrets``, then fall
+    back to CPython's built-in digests, the same digests without mapping
+    libcrypto (about 3.4 MB resident). Blocked only while not loaded and
+    with every built-in digest module present, lest ``hashlib`` log an
+    error and lack that digest for the process; unblocked on return."""
+    block = ("_hashlib" not in sys.modules
+             and all(importlib.util.find_spec(name) for name in BUILTIN_DIGESTS))
+    if block:
+        sys.modules["_hashlib"] = None
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         args.outputs = _refuse_overwrites(parser.commands[args.command], args)
         return args.func(args)
     except (DgmeError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    finally:
+        if block:
+            sys.modules.pop("_hashlib", None)
 
 
 if __name__ == "__main__":

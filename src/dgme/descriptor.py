@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from dgme import flow
-from dgme._meta import numbers, read_json, read_table, refuse_repeated_ids, write_json, write_table
+from dgme._meta import (integer, numbers, read_json, read_table, refuse_repeated_ids, write_json,
+                        write_table)
 from dgme.errors import DataError, NumericError
 from dgme.flow import PolarFlow, cart2polar, farneback_flow
 from dgme.videoio import FrameSequence
@@ -262,7 +263,7 @@ def read_stats_json(path) -> NormStats:
         return NormStats(
             mean=np.array(numbers(payload["mean"]), dtype=np.float64),
             std=np.array(numbers(payload["std"]), dtype=np.float64),
-            source_count=int(payload["count"]),
+            source_count=integer(payload["count"]),
             config_hash=str(payload["config_hash"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from dgme._meta import read_json, read_table, write_json, write_table
-from dgme._random import default_rng
 from dgme.errors import DataError
 
 DROP = "DROP"
@@ -120,10 +119,10 @@ def stratified_split(aset: AnnotatedSet,
     """Class-balanced train/val/test split with floor quotas.
 
     Per class, entries are shuffled with a seeded RNG and the quotas are
-    floor(ratio * n) for each of the ``SPLIT_RATIOS``; leftover samples are
-    assigned one at a time in the priority order test, train, val.
+    floor(ratio * n) for each of the ``SPLIT_RATIOS``. The floors leave at
+    most two samples over: the first goes to test, the second to train.
     """
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     parts: tuple[list, list, list] = ([], [], [])
     by_class: dict = {c: [] for c in aset.schema.classes}
     for entry in aset.entries:
@@ -143,7 +142,6 @@ def stratified_split(aset: AnnotatedSet,
         leftover = n - n_train - n_val - int(np.floor(SPLIT_RATIOS[2] * n))
         # test takes the tail, so its leftover (the first) moves no boundary
         n_train += leftover >= 2
-        n_val += leftover >= 3
         parts[0].extend(shuffled[:n_train])
         parts[1].extend(shuffled[n_train : n_train + n_val])
         parts[2].extend(shuffled[n_train + n_val :])
@@ -160,7 +158,7 @@ def oversample(train: AnnotatedSet, targets: dict, seed: int = 0) -> AnnotatedSe
     a class with no entries is refused. Never apply this to validation or
     test sets.
     """
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     by_class: dict = {c: [] for c in train.schema.classes}
     for entry in train.entries:
         by_class[entry[1]].append(entry)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dgme._meta import numbers, read_json, write_json, write_table
-from dgme._random import default_rng
+from dgme._meta import integer, numbers, read_json, write_json, write_table
 from dgme.descriptor import grid_cells
 from dgme.errors import DataError, NumericError
 from dgme.evaluation import confusion_from_indices, metrics_from_confusion
@@ -194,7 +193,7 @@ def cosine_lr(step: int, total_steps: int) -> float:
 def init_params(class_names, backbone_dim: int, descriptor_dim: int,
                 seed: int = 0) -> FusionHeadParams:
     """alpha = 1, LN affine at identity, W seeded uniform, b zero."""
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     k = len(class_names)
     width = backbone_dim + descriptor_dim
     bound = 1.0 / np.sqrt(max(width, 1))
@@ -238,7 +237,7 @@ def train(class_names, train_set: LabeledFeatures, val_set: LabeledFeatures,
     if train_set.dgme.shape[1] != val_set.dgme.shape[1]:
         raise DataError("train/val descriptor dimensions differ")
 
-    rng = default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     params = init_params(
         class_names, train_set.backbone.shape[1], train_set.dgme.shape[1], seed=cfg.seed
     )
@@ -350,7 +349,7 @@ class StubEmbeddingProvider:
     """
 
     def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
-        self._projection = default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
+        self._projection = np.random.default_rng(seed).normal(0.0, 1.0, size=(dim, _STATS_WIDTH))
         self._projection /= np.sqrt(_STATS_WIDTH)
 
     def embed(self, seq: FrameSequence) -> np.ndarray:
@@ -384,8 +383,8 @@ def load_model_json(path) -> tuple[FusionHeadParams, dict]:
             W=numbers(payload["W"]),
             b=numbers(payload["b"]),
             class_names=list(payload["class_names"]),
-            backbone_dim=int(payload["backbone_dim"]),
-            descriptor_dim=int(payload["descriptor_dim"]),
+            backbone_dim=integer(payload["backbone_dim"]),
+            descriptor_dim=integer(payload["descriptor_dim"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file {path}: {exc}") from exc

@@ -35,7 +35,6 @@ import numpy as np
 
 import dgme
 from dgme._meta import write_table
-from dgme._random import default_rng
 from dgme._resample import gaussian_blur, resize_bilinear, sample_bilinear_planes
 from dgme.videoio import MAX_FRAME_PIXELS, FrameSequence, to_u8, write_y8seq
 
@@ -159,7 +158,7 @@ def _canvas_margin(spec: SynthSpec) -> int:
 
 def make_clip(spec: SynthSpec) -> FrameSequence:
     """Render one labeled clip; deterministic given the spec."""
-    rng = default_rng(spec.texture_seed)
+    rng = np.random.default_rng(spec.texture_seed)
     size = spec.size
     n = spec.frames
     mag = spec.motion_magnitude
@@ -177,7 +176,7 @@ def make_clip(spec: SynthSpec) -> FrameSequence:
         cy = cx = (size - 1) / 2.0
         dist = np.hypot(yy - cy, xx - cx)
         fg_alpha = np.clip((radius - dist) / 2.0 + 0.5, 0.0, 1.0)
-        fg_rng = default_rng(spec.texture_seed + 1)
+        fg_rng = np.random.default_rng(spec.texture_seed + 1)
         fg_pattern = 0.35 * _texture(fg_rng, size, size) + 160.0
         fg_pattern = np.clip(fg_pattern, 0, 255)
 
@@ -219,7 +218,7 @@ def degrade_clip(seq: FrameSequence, spec: DegradeSpec) -> FrameSequence:
     contrast compression about 128, Gaussian blur, per-frame brightness
     flicker, additive Gaussian noise, then frame drops realized as
     duplications of the previous (already degraded) frame."""
-    rng = default_rng(spec.rng_seed)
+    rng = np.random.default_rng(spec.rng_seed)
     n = seq.frame_count
     flicker = rng.uniform(-spec.flicker_amp, spec.flicker_amp, size=n)
     noise = rng.normal(0.0, 1.0, size=seq.frames.shape) * spec.noise_sigma
@@ -269,7 +268,7 @@ def make_corpus(out_dir, classes, per_class: int, domain: str, seed: int,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     lo, hi = magnitude_range
 
     rows: list[tuple[str, str]] = []

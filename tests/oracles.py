@@ -143,6 +143,80 @@ def box_mean_reflect101(planes: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def bilinear_at(plane: np.ndarray, y: float, x: float) -> float:
+    """``plane`` at the continuous point (y, x), as four explicit neighbour
+    terms: the point clamps to the plane, the top-left neighbour (y0, x0)
+    stays at most one sample from the far edge, and a 1-sample axis reads
+    its one sample twice."""
+    h, w = plane.shape
+    y, x = min(max(y, 0.0), h - 1.0), min(max(x, 0.0), w - 1.0)
+    y0, x0 = min(math.floor(y), max(h - 2, 0)), min(math.floor(x), max(w - 2, 0))
+    y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
+    fy, fx = y - y0, x - x0
+    return (plane[y0, x0] * (1.0 - fy) * (1.0 - fx) + plane[y0, x1] * (1.0 - fy) * fx
+            + plane[y1, x0] * fy * (1.0 - fx) + plane[y1, x1] * fy * fx)
+
+
+def gaussian_blur_reflect101(img: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(img, sigma, mode="mirror")`` read
+    pixel by pixel: the weights exp(-d^2 / (2 sigma^2)) of the 2-D offsets d
+    within ``int(4 sigma + 0.5)`` px on each axis, over the reflect-101
+    padded neighbourhood, divided by their sum."""
+    img = np.asarray(img, dtype=np.float64)
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 * np.arange(-radius, radius + 1) ** 2 / (sigma * sigma))
+    weights = np.outer(taps, taps) / taps.sum() ** 2
+    out = np.empty(img.shape)
+    for y, x in np.ndindex(img.shape):
+        out[y, x] = (weights * _neighbourhood(img, y, x, radius)).sum()
+    return out
+
+
+def pyramid_reference(img: np.ndarray, levels: int, scale: float, min_side: int) -> list:
+    """The images of a coarse-to-fine pyramid, finest first: level k > 0
+    blurs the original image with sigma (1 / scale^k - 1) / 2 and resizes it
+    to round(scale^k) of each side with half-pixel centres; the pyramid
+    stops before a level with a side under ``min_side``."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    pyramid = [img]
+    for level in range(1, levels):
+        hh, ww = round(h * scale ** level), round(w * scale ** level)
+        if min(hh, ww) < min_side:
+            break
+        blurred = gaussian_blur_reflect101(img, (1.0 / scale ** level - 1.0) / 2.0)
+        out = np.empty((hh, ww))
+        for i, j in np.ndindex(out.shape):
+            out[i, j] = bilinear_at(blurred, (i + 0.5) * h / hh - 0.5, (j + 0.5) * w / ww - 0.5)
+        pyramid.append(out)
+    return pyramid
+
+
+def flow_iteration_reference(exp1, exp2, u: np.ndarray, v: np.ndarray, window: int,
+                             det_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed-point update of Farneback's displacement, pixel by pixel.
+
+    ``exp1`` and ``exp2`` are the expansions (a11, a22, a12, bx, by) of the
+    two images. The second is sampled at x + d0 (d0 = (u, v)) by
+    ``bilinear_at``; with A the mean of the two 2x2 quadratic forms and
+    db = -(b2 - b1) / 2 + A d0, each pixel's normal equations A^T A d =
+    A^T db are averaged over the ``window`` px reflect-101 box and solved
+    by Cramer's rule, ``det_eps`` added to the determinant. Returns the
+    new (u, v)."""
+    h, w = u.shape
+    normal = np.empty((5, h, w))  # g11, g12, g22, h1, h2
+    for y, x in np.ndindex(h, w):
+        a11_2, a22_2, a12_2, bx2, by2 = (bilinear_at(p, y + v[y, x], x + u[y, x]) for p in exp2)
+        a11_1, a22_1, a12_1, bx1, by1 = (p[y, x] for p in exp1)
+        a = 0.5 * np.array([[a11_1 + a11_2, a12_1 + a12_2], [a12_1 + a12_2, a22_1 + a22_2]])
+        db = -0.5 * np.array([bx2 - bx1, by2 - by1]) + a @ np.array([u[y, x], v[y, x]])
+        g, rhs = a.T @ a, a.T @ db
+        normal[:, y, x] = g[0, 0], g[0, 1], g[1, 1], rhs[0], rhs[1]
+    g11, g12, g22, h1, h2 = box_mean_reflect101(normal, window)
+    det = g11 * g22 - g12 * g12 + det_eps
+    return (g22 * h1 - g12 * h2) / det, (g11 * h2 - g12 * h1) / det
+
+
 def poly_expand_wls(img: np.ndarray, n: int, sigma: float) -> tuple:
     """Farneback's polynomial expansion as he states it (2003, "Two-Frame
     Motion Estimation Based on Polynomial Expansion"): at every pixel, the

@@ -418,11 +418,11 @@ def _features_file(tmp_path, *rows, name="features.csv", comment="seed=0"):
     return ["stats", "--features", str(path), "--out", str(tmp_path / "s.json")]
 
 
-def _stats_file(tmp_path, config_hash="h", mean=0.0, std=1.0):
+def _stats_file(tmp_path, config_hash="h", mean=0.0, std=1.0, count=2):
     """``s.json``: statistics of 117 features, ``mean`` and ``std`` in the
-    first dimension and 0 and 1 in the others."""
+    first dimension and 0 and 1 in the others, fitted on ``count`` rows."""
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"config_hash": config_hash, "count": 2,
+    path.write_text(json.dumps({"config_hash": config_hash, "count": count,
                                 "mean": [mean] + [0.0] * 116, "std": [std] + [1.0] * 116}))
     return str(path)
 
@@ -674,6 +674,9 @@ _PRE_DIGEST_MODEL = ("model: calibrated without a stats_digest, as written befor
     (lambda t: _eval_model(t, std="nan"), "s.json: expected a number, got 'nan'"),
     (lambda t: _model_field(t, "alpha", True), "m.json: expected a number, got True"),
     (lambda t: _normalize(t, std=True), "s.json: expected a number, got True"),
+    (lambda t: _model_field(t, "backbone_dim", False), "m.json: expected an integer, got False"),
+    (lambda t: _model_field(t, "descriptor_dim", 117.9), "m.json: expected an integer, got 117.9"),
+    (lambda t: _normalize(t, count=True), "s.json: expected an integer, got True"),
     (_ragged_annotations, "annotations row 2"),
     (_repeated_clip_annotations, "annotations row 3 (a) repeats the clip id of row 1 in "),
     (lambda t: _schema_file(t, '{"name": "x", "remap": {}}'), "schema.json: 'classes'"),
@@ -735,6 +738,7 @@ _PRE_DIGEST_MODEL = ("model: calibrated without a stats_digest, as written befor
         "duplicate-clip-id",
         "nan-model-weight", "nan-stats-std", "huge-int-stats-mean", "huge-int-model-alpha",
         "string-model-alpha", "string-stats-std", "boolean-model-alpha", "boolean-stats-std",
+        "boolean-model-backbone-dim", "float-model-descriptor-dim", "boolean-stats-count",
         "ragged-annotations-row", "split-repeated-clip-id",
         "schema-without-classes", "malformed-schema", "schema-name-with-space",
         "model-backbone-dim-not-weight-width",
@@ -1175,6 +1179,21 @@ def test_cli_extract_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--epochs", "0"), ("--batch-size", "-1")])
+def test_cli_train_refuses_bad_length_before_reading(mini_corpus, tmp_path, capsys,
+                                                     option, value):
+    # both were refused only after the features were read and the fusion
+    # clips embedded, so an empty --clips directory ended in exit 2
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    args = _train_args(mini_corpus, tmp_path) + ["--mode", "fusion", "--clips", str(clips)]
+    capsys.readouterr()
+    rc = main(args + [option, value])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: epochs and batch_size must be >= 1"]
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("width, height, target", [(32, 32, 100000), (65536, 2, 512)],
                          ids=["huge-target", "wide-clip"])
 def test_cli_extract_refuses_oversized_target_before_allocating(tmp_path, capsys,
@@ -1428,14 +1447,15 @@ def test_no_module_imports_hashlib():
 # runs the commands of argv lists given as JSON in one interpreter and prints,
 # after the import and after each command, which of the watched modules are
 # loaded. Each clip's flow also checks, in the pool worker that ran it under
-# extract --jobs 2, that it did not load OpenSSL (hashlib's _hashlib)
+# extract --jobs 2, that it did not load OpenSSL (hashlib's _hashlib); main's
+# guard maps it to None, which loads nothing
 _MODULES_PROBE = ("import json, sys\n"
                   "import dgme.cli\n"
                   "watched = {'dgme.synth', 'dgme.viz', 'multiprocessing', 'hashlib', '_hashlib'}\n"
                   "extract_one = dgme.cli._extract_one\n"
                   "def checked_extract_one(task):\n"
                   "    result = extract_one(task)\n"
-                  "    assert '_hashlib' not in sys.modules, 'flow loaded _hashlib'\n"
+                  "    assert sys.modules.get('_hashlib') is None, 'flow loaded _hashlib'\n"
                   "    return result\n"
                   "dgme.cli._extract_one = checked_extract_one\n"
                   "loaded = [['import', sorted(watched & set(sys.modules))]]\n"
