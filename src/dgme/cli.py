@@ -23,6 +23,7 @@ from dgme import descriptor as dsc
 from dgme import evaluation as ev
 from dgme._meta import integer, refuse_repeated_ids
 from dgme.errors import DataError, DgmeError, NumericError, UsageError
+from dgme.flow import POLY_N
 from dgme.videoio import SamplingSpec, clip_id, load_clip, read_y8seq
 
 
@@ -281,12 +282,16 @@ def cmd_extract(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if not 0.0 <= args.mthr < math.inf:
         raise UsageError("magnitude_threshold must be finite and >= 0")
-    ann_path = Path(args.ann)
-    meta, rows = ev.read_annotations_csv(ann_path)
-    root = ann_path.parent
     sampling = SamplingSpec(frames_per_clip=args.frames_per_clip,
                             frame_interval=args.interval,
                             target_size=args.target_size)
+    # every frame is cropped to target x target, so a smaller one fails on every clip
+    if args.target_size < POLY_N:
+        raise UsageError(f"--target-size {args.target_size} is below the polynomial "
+                         f"kernel support of {POLY_N} px")
+    ann_path = Path(args.ann)
+    meta, rows = ev.read_annotations_csv(ann_path)
+    root = ann_path.parent
     cfg_hash = dsc.config_hash(args.mthr)
 
     clip_ids = [clip_id(rel) for rel, _ in rows]
@@ -423,8 +428,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_oversample(args) -> int:
-    schema = ev.load_schema(args.schema)
-    meta, aset = _load_annotated(args.split, schema)
     targets = {}
     try:
         for part in args.targets.split(","):
@@ -433,11 +436,16 @@ def cmd_oversample(args) -> int:
             if cls in targets:
                 raise UsageError(f"class {cls!r} repeated in --targets")
             targets[cls] = int(count)
+            if targets[cls] < 0:
+                raise UsageError(f"--targets count of class {cls!r} must be >= 0, "
+                                 f"got {targets[cls]}")
     except ValueError as exc:
         raise UsageError(f"bad --targets: {exc}") from exc
+    schema = ev.load_schema(args.schema)
     for cls in targets:
         if cls not in schema.classes:
             raise UsageError(f"target class {cls!r} not in schema {schema.name}")
+    meta, aset = _load_annotated(args.split, schema)
     result = ev.oversample(aset, targets, seed=args.seed)
     ev.write_annotations_csv(args.out, result.entries,
                              _out_meta(args.seed, schema=schema.name, source=meta))
@@ -567,9 +575,9 @@ def cmd_eval(args) -> int:
         ev.write_annotations_csv(args.out_predictions, predictions, _out_meta(seed))
     out_meta = _out_meta(seed, schema=schema.name)
     ev.write_metrics_json(args.out_metrics, report, schema.classes, out_meta)
-    ev.write_confusion_csv(args.out_confusion, cm, out_meta)
+    ev.write_confusion_csv(args.out_confusion, cm, schema.classes, out_meta)
     print(f"accuracy {report.accuracy:.4f}, macro F1 {report.macro_f1:.4f} "
-          f"({cm.total} clips) -> {args.out_metrics}")
+          f"({int(cm.sum())} clips) -> {args.out_metrics}")
     return 0
 
 

@@ -55,24 +55,6 @@ class AnnotatedSet:
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # rows true, cols predicted
-    class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        k = len(self.class_names)
-        if self.counts.shape != (k, k):
-            raise ValueError(f"confusion matrix must be {k}x{k}, got {self.counts.shape}")
-        if (self.counts < 0).any():
-            raise ValueError("confusion counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
 class MetricsReport:
     accuracy: float
     per_class: list[tuple[float, float, float]]  # (precision, recall, f1)
@@ -184,6 +166,7 @@ def oversample(train: AnnotatedSet, targets: dict, seed: int = 0) -> AnnotatedSe
 
 def confusion_from_indices(y_true: np.ndarray, y_pred: np.ndarray,
                            num_classes: int) -> np.ndarray:
+    """(k, k) int64 counts, rows true and columns predicted class."""
     cm = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(cm, (np.asarray(y_true, dtype=np.int64), np.asarray(y_pred, dtype=np.int64)), 1)
     return cm
@@ -214,9 +197,10 @@ def metrics_from_confusion(counts: np.ndarray) -> MetricsReport:
 
 
 def evaluate(predictions: list[tuple[str, str]],
-             truth: AnnotatedSet) -> tuple[ConfusionMatrix, MetricsReport]:
+             truth: AnnotatedSet) -> tuple[np.ndarray, MetricsReport]:
     """Score predictions against ground truth, one row per clip id in each
-    (``dgme eval`` refuses repeats as it reads them); ids must match exactly."""
+    (``dgme eval`` refuses repeats as it reads them); ids must match exactly.
+    Returns the confusion counts, in the schema's class order, and metrics."""
     truth_map = dict(truth.entries)
     pred_map = dict(predictions)
     missing = sorted(set(truth_map) - set(pred_map))
@@ -235,7 +219,7 @@ def evaluate(predictions: list[tuple[str, str]],
             raise DataError(f"predicted label {label!r} for {cid} not in schema {truth.schema.name}")
         y_pred.append(classes.index(label))
     cm = confusion_from_indices(y_true, np.array(y_pred, dtype=np.int64), len(classes))
-    return ConfusionMatrix(cm, classes), metrics_from_confusion(cm)
+    return cm, metrics_from_confusion(cm)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +259,6 @@ def write_metrics_json(path, report: MetricsReport, class_names, meta: dict) -> 
     })
 
 
-def write_confusion_csv(path, cm: ConfusionMatrix, meta: dict) -> None:
-    write_table(path, "confusion", meta, ["true\\pred", *cm.class_names],
-                ([name, *row] for name, row in zip(cm.class_names, cm.counts.tolist())))
+def write_confusion_csv(path, counts: np.ndarray, class_names, meta: dict) -> None:
+    write_table(path, "confusion", meta, ["true\\pred", *class_names],
+                ([name, *row] for name, row in zip(class_names, counts.tolist())))

@@ -373,7 +373,7 @@ def test_acceptance_8_metrics_oracle():
     preds = [("x1", "a"), ("x2", "b"), ("x3", "b"), ("x4", "b")]
     cm, report = evaluate(preds, truth)
     oracle_ok = (
-        cm.counts.tolist() == [[1, 1], [0, 2]]
+        cm.tolist() == [[1, 1], [0, 2]]
         and abs(report.accuracy - 0.75) <= 1e-9
         and abs(report.macro_f1 - (2 / 3 + 0.8) / 2) <= 1e-9
     )
@@ -395,9 +395,9 @@ def test_acceptance_8_metrics_oracle():
         perm = [preds_r[i] for i in rng.permutation(len(preds_r))]
         cm2, rep2 = evaluate(perm, truth_r)
         rows_ok = all(
-            cm1.counts[i].sum() == counts[n] for i, n in enumerate(names)
+            cm1[i].sum() == counts[n] for i, n in enumerate(names)
         )
-        prop_ok += bool(rows_ok and np.array_equal(cm1.counts, cm2.counts) and rep1 == rep2)
+        prop_ok += bool(rows_ok and np.array_equal(cm1, cm2) and rep1 == rep2)
 
     _report(
         8, "metrics-oracle", oracle_ok and prop_ok == trials,

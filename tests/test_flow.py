@@ -330,6 +330,15 @@ def test_expand_frame_pyramid_matches_per_pixel_blur_and_resize(shape, monkeypat
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def test_pyramid_sizes_written_out():
+    # three levels at half scale, rounded half to even, down to POLY_N + 2 px
+    assert flow._pyramid_sizes(96, 96) == [(96, 96), (48, 48), (24, 24)]
+    assert flow._pyramid_sizes(224, 224) == [(224, 224), (112, 112), (56, 56)]
+    assert flow._pyramid_sizes(13, 30) == [(13, 30)]
+    frame = np.zeros((40, 33), dtype=np.uint8)
+    assert [exp[0].shape for exp in flow._expand_frame(frame)] == [(40, 33), (20, 16), (10, 8)]
+
+
 @pytest.mark.parametrize("shape, contrast", [((5, 5), 255.0), ((7, 16), 1.0), ((12, 14), 255.0),
                                              ((20, 23), 4.0)],
                          ids=["5x5", "7x16-low-contrast", "12x14", "20x23-low-contrast"])

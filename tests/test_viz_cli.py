@@ -1194,6 +1194,29 @@ def test_cli_train_refuses_bad_length_before_reading(mini_corpus, tmp_path, caps
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--frames-per-clip", "1", "frames_per_clip must be >= 2"),
+    ("--interval", "0", "frame_interval must be >= 1"),
+    ("--target-size", "4", "--target-size 4 is below the polynomial kernel support of 5 px"),
+], ids=["frames-per-clip-1", "interval-0", "target-size-4"])
+def test_cli_extract_refuses_bad_sampling_before_reading(tmp_path, capsys, monkeypatch,
+                                                         option, value, message):
+    # the first two were refused only after the annotations were read, so a
+    # missing --ann ended in exit 2; a target below the kernel support failed
+    # on the first clip with exit 2, as it would on every clip
+    reads, flows = [], []
+    monkeypatch.setattr(dgme.evaluation, "read_annotations_csv",
+                        lambda path: reads.append(path) or 1 / 0)
+    monkeypatch.setattr(dgme.descriptor, "farneback_flow",
+                        lambda *a, **k: flows.append(a) or 1 / 0)
+    args = _y8seq_corpus(tmp_path, ("c0.y8seq", 2, "pan"))
+    rc = main(args + [option, value])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert reads == [] and flows == []
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("width, height, target", [(32, 32, 100000), (65536, 2, 512)],
                          ids=["huge-target", "wide-clip"])
 def test_cli_extract_refuses_oversized_target_before_allocating(tmp_path, capsys,
@@ -1310,6 +1333,27 @@ def test_cli_oversample_target_for_absent_class(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error:") and "'pan'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split, targets, message", [
+    ("missing", "pan=-1", "--targets count of class 'pan' must be >= 0, got -1"),
+    ("real", "pan=-1", "--targets count of class 'pan' must be >= 0, got -1"),
+    ("missing", "track=3", "target class 'track' not in schema modern4"),
+], ids=["negative-missing-split", "negative-real-split", "unknown-class-missing-split"])
+def test_cli_oversample_refuses_bad_targets_before_reading(mini_corpus, tmp_path, capsys,
+                                                           split, targets, message):
+    # each used to read the split first: a missing one ended in exit 2 with
+    # "file not found", and a real one refused -1 as below the class's count
+    if split == "real":
+        assert main(_split_args(mini_corpus, tmp_path / "splits")) == 0
+    split_csv = tmp_path / "splits" / "train.csv"
+    out = tmp_path / "os.csv"
+    capsys.readouterr()
+    rc = main(["oversample", "--split", str(split_csv), "--schema", "modern4",
+               "--targets", targets, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
