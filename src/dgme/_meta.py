@@ -58,27 +58,31 @@ def read_table(path, kind: str, parse_row) -> tuple[dict, list[str]]:
     (empty without one) and the header. ``parse_row(0, header)`` sees the
     header first, then ``parse_row(n, cells)`` each data row as it is read,
     ``n`` counting from 1. Blank lines are skipped; a row whose cell count
-    differs from the header's is a data error."""
+    differs from the header's, bytes that do not decode and a field over
+    ``csv.field_size_limit`` are data errors."""
     path = existing_file(path, kind)
     meta: dict = {}
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            meta = parse_meta(first)
-        else:
-            fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        parse_row(0, header)
-        n = 0
-        for cells in reader:
-            if not cells:
-                continue
-            n += 1
-            if len(cells) != len(header):
-                raise DataError(f"{kind} row {n} in {path} has {len(cells)} cells, "
-                                f"header has {len(header)}")
-            parse_row(n, cells)
+        try:
+            first = fh.readline()
+            if first.startswith("#"):
+                meta = parse_meta(first)
+            else:
+                fh.seek(0)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            parse_row(0, header)
+            n = 0
+            for cells in reader:
+                if not cells:
+                    continue
+                n += 1
+                if len(cells) != len(header):
+                    raise DataError(f"{kind} row {n} in {path} has {len(cells)} cells, "
+                                    f"header has {len(header)}")
+                parse_row(n, cells)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"malformed {kind} file {path}: {exc}") from exc
     return meta, header
 
 

@@ -4,7 +4,9 @@ Every artifact embeds {version, seed} metadata in a header comment or
 JSON field; features, statistics, models, training logs and SVGs add the
 config_hash of the features. The whole pipeline is byte-reproducible
 given one seed. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure. Errors print a single ``error: ...`` line on stderr.
+failure; a file the command cannot read or write (``OSError``) is a data
+error, as a missing input is. Errors print a single ``error: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -51,11 +53,8 @@ def _in_file(value: str) -> str:
 
 
 def _out_file(value: str) -> str:
-    """An output file option; a path that names a directory or lies in a
-    missing one is refused while the options are parsed, before the command
-    computes anything."""
-    if Path(value).is_dir():
-        raise argparse.ArgumentTypeError(f"{value} is a directory")
+    """An output file option; a path in a missing directory is refused while
+    the options are parsed, before the command computes anything."""
     if not Path(value).parent.is_dir():
         raise argparse.ArgumentTypeError(f"directory of {value} does not exist")
     return value
@@ -87,41 +86,42 @@ _SPLIT_PARTS = ("train", "val", "test")
 
 
 def _refuse_overwrites(command: _Parser, args) -> dict:
-    """Refuse, before ``command`` reads anything, an output that names the
-    same file as another output or as an existing input file: a later write
-    would replace it. Returns the option of each output by its real path."""
-    outputs, inputs = [], []
+    """Refuse, before ``command`` reads anything, each output, ``writes=``
+    files included, that is a directory or an earlier output's file, then one
+    that is an input file. Returns the option of each output by its real path."""
+    outputs, inputs = {}, []
     for action, writes in command.file_options:
         flag, value = action.option_strings[0], getattr(args, action.dest)
         if value is None:
             continue
-        if writes:
-            outputs += [(f"{flag}'s {name}", os.path.join(value, name)) for name in writes]
-        elif action.type is _out_file:
-            outputs.append((flag, value))
-        elif os.path.isfile(value):  # a packaged schema name such as modern4 is no file
-            inputs.append((flag, value))
-    written: dict[str, str] = {}
-    for k, (flag, value) in enumerate(outputs + inputs):
-        real = os.path.realpath(value)
-        if real in written:
-            raise UsageError(f"{written[real]} and {flag} name the same file {value}")
-        if k < len(outputs):
-            written[real] = flag
-    return written
+        if action.type is _in_file:
+            if os.path.isfile(value):  # a packaged schema name such as modern4 is no file
+                inputs.append((flag, value))
+            continue
+        for name, path in ([(f"{flag}'s {name}", os.path.join(value, name)) for name in writes]
+                           or [(flag, value)]):
+            if os.path.isdir(path):
+                raise UsageError(f"argument {flag}: {path} is a directory")
+            real = os.path.realpath(path)
+            if real in outputs:
+                raise UsageError(f"{outputs[real]} and {name} name the same file {path}")
+            outputs[real] = name
+    _refuse_outputs_in_reads(outputs, inputs)
+    return outputs
 
 
-def _refuse_outputs_in_clips(outputs: dict, clips) -> None:
-    """Refuse, before the first clip is read, an output that is, or lies
-    inside, one of the (name, path) ``clips`` the command reads; ``outputs``
-    is ``_refuse_overwrites``' option of each output by its real path."""
-    for name, clip in clips:
-        real = os.path.realpath(clip)
+def _refuse_outputs_in_reads(outputs: dict, reads) -> None:
+    """Refuse, before the first of them is read, an output that is, or lies
+    inside, one of the (name, path) ``reads`` of the command: its input
+    files, ``--ann`` clips and ``--clips`` files; ``outputs`` is
+    ``_refuse_overwrites``' option of each output by its real path."""
+    for name, read in reads:
+        real = os.path.realpath(read)
         for out, flag in outputs.items():
             if out == real:
-                raise UsageError(f"{flag} and {name} name the same file {clip}")
+                raise UsageError(f"{flag} and {name} name the same file {read}")
             if out.startswith(real + os.sep):
-                raise UsageError(f"{flag} lies inside {name} {clip}")
+                raise UsageError(f"{flag} lies inside {name} {read}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +297,7 @@ def cmd_extract(args) -> int:
     clip_ids = [clip_id(rel) for rel, _ in rows]
     refuse_repeated_ids("annotations", ann_path, clip_ids)
     clip_paths = [root / rel for rel, _ in rows]
-    _refuse_outputs_in_clips(args.outputs, [(f"--ann row {i}'s clip", path)
+    _refuse_outputs_in_reads(args.outputs, [(f"--ann row {i}'s clip", path)
                                             for i, path in enumerate(clip_paths, 1)])
     for i, clip_path in enumerate(clip_paths, 1):
         if not clip_path.exists():
@@ -429,18 +429,19 @@ def cmd_split(args) -> int:
 
 def cmd_oversample(args) -> int:
     targets = {}
-    try:
-        for part in args.targets.split(","):
+    for part in args.targets.split(","):
+        try:
             cls, count = part.split("=")
-            cls = cls.strip()
-            if cls in targets:
-                raise UsageError(f"class {cls!r} repeated in --targets")
-            targets[cls] = int(count)
-            if targets[cls] < 0:
-                raise UsageError(f"--targets count of class {cls!r} must be >= 0, "
-                                 f"got {targets[cls]}")
-    except ValueError as exc:
-        raise UsageError(f"bad --targets: {exc}") from exc
+            count = int(count)
+        except ValueError:
+            raise UsageError(f"--targets part {part!r} is not class=count "
+                             "with an integer count") from None
+        cls = cls.strip()
+        if cls in targets:
+            raise UsageError(f"class {cls!r} repeated in --targets")
+        if count < 0:
+            raise UsageError(f"--targets count of class {cls!r} must be >= 0, got {count}")
+        targets[cls] = count
     schema = ev.load_schema(args.schema)
     for cls in targets:
         if cls not in schema.classes:
@@ -470,18 +471,16 @@ def _join_split(split_path, split, features_path, clip_ids, matrix):
             np.array(ys, dtype=np.int64))
 
 
-def _fusion_clips(clips_dir, clip_ids):
-    """(name, path) of the ``--clips`` file of each of ``clip_ids``."""
-    return [(f"--clips' {cid}", Path(clips_dir) / f"{cid}.y8seq") for cid in clip_ids]
-
-
-def _embed_clips(clips_dir, clip_ids, seed, dim):
-    """Stub embedding rows of width ``dim`` for ``clip_ids`` in order, each
-    clip read and embedded by the provider seeded with ``seed``."""
+def _embed_clips(clips_dir, clip_ids, seed, dim, outputs):
+    """Stub embedding rows of width ``dim`` for ``clip_ids`` in order: each
+    clip's ``--clips`` file, refused when one of ``outputs`` is or lies
+    inside it, read and embedded by the provider seeded with ``seed``."""
     from dgme import model as mdl
 
+    clips = [(f"--clips' {cid}", Path(clips_dir) / f"{cid}.y8seq") for cid in clip_ids]
+    _refuse_outputs_in_reads(outputs, clips)
     provider = mdl.StubEmbeddingProvider(seed=seed, dim=dim)
-    rows = [provider.embed(read_y8seq(path)) for _, path in _fusion_clips(clips_dir, clip_ids)]
+    rows = [provider.embed(read_y8seq(path)) for _, path in clips]
     return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
@@ -510,8 +509,7 @@ def cmd_train(args) -> int:
     xb_train = xb_val = None
     if mode == "fusion":
         ids = train_ids + val_ids
-        _refuse_outputs_in_clips(args.outputs, _fusion_clips(args.clips, ids))
-        xb = _embed_clips(args.clips, ids, args.seed, mdl.EMBED_DIM)
+        xb = _embed_clips(args.clips, ids, args.seed, mdl.EMBED_DIM, args.outputs)
         xb_train, xb_val = xb[:len(train_ids)], xb[len(train_ids):]
 
     params, log = mdl.train(list(schema.classes),
@@ -564,8 +562,7 @@ def cmd_eval(args) -> int:
                 raise UsageError("evaluating a fusion model requires --clips")
             if seed < 0:  # numpy's seeding would refuse it as a bad option
                 raise DataError(f"{args.model}: a fusion model's seed must be >= 0, got {seed}")
-            _refuse_outputs_in_clips(args.outputs, _fusion_clips(args.clips, ids))
-            backbone = _embed_clips(args.clips, ids, seed, params.backbone_dim)
+            backbone = _embed_clips(args.clips, ids, seed, params.backbone_dim, args.outputs)
         pred_idx = mdl.predict(mdl.LabeledFeatures(X, y, backbone, rows), params)
         predictions = [(cid, schema.classes[k])
                        for (cid, _), k in zip(truth.entries, pred_idx)]
@@ -610,8 +607,9 @@ def cmd_viz(args) -> int:
     return 0
 
 
-# first match wins; a bare ValueError is a bad option value
-_EXIT_CODES = ((UsageError, 1), (NumericError, 3), (DgmeError, 2), (ValueError, 1))
+# first match wins; a bare ValueError is a bad option value, and an OSError
+# a file that cannot be read or written
+_EXIT_CODES = ((UsageError, 1), (NumericError, 3), (DgmeError, 2), (OSError, 2), (ValueError, 1))
 
 
 # the modules hashlib's fallback constructors import
@@ -636,7 +634,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.outputs = _refuse_overwrites(parser.commands[args.command], args)
         return args.func(args)
-    except (DgmeError, ValueError) as exc:
+    except (DgmeError, OSError, ValueError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     finally:

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ import pytest
 import dgme
 import dgme.cli
 import dgme.descriptor
+import dgme.evaluation
 import dgme.model
 from dgme import synth
 from dgme._meta import format_meta, parse_meta
@@ -605,6 +607,26 @@ def _repeated_clip_annotations(tmp_path):
             "--out-dir", str(tmp_path / "splits")]
 
 
+def _annotations_bytes(tmp_path, data):
+    """``split`` of annotations whose file holds the bytes ``data``."""
+    (tmp_path / "a.csv").write_bytes(b"clip_path,label\n" + data)
+    return ["split", "--ann", str(tmp_path / "a.csv"), "--schema", "modern4",
+            "--out-dir", str(tmp_path / "splits")]
+
+
+# annotation rows of five pan and five tilt clips, enough to split
+_TEN_ROWS = b"".join(b"%s%d.y8seq,%s\n" % (label, i, label) for label in (b"pan", b"tilt")
+                     for i in range(5))
+
+
+def _undecodable_features(tmp_path):
+    """``stats`` of a features table whose first clip id holds a 0xff byte."""
+    args = _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
+    path = tmp_path / "features.csv"
+    path.write_bytes(path.read_bytes().replace(b"\na,pan", b"\na\xff,pan"))
+    return args
+
+
 def _repeated_split_id(tmp_path):
     """``_eval_model`` with ``--out-predictions``, on a split that lists clip
     a twice."""
@@ -733,6 +755,11 @@ _PRE_DIGEST_MODEL = ("model: calibrated without a stats_digest, as written befor
                                    "a.y8seq,pan\nb.y8seq,tilt\n"),
      "annotations row 3 (a) repeats the clip id of row 1 in "),
     (_repeated_val_id, "annotations row 3 (a) repeats the clip id of row 1 in "),
+    (lambda t: _annotations_bytes(t, b"a\xff.y8seq,pan\n"),
+     "a.csv: 'utf-8' codec can't decode byte 0xff"),
+    (_undecodable_features, "features.csv: 'utf-8' codec can't decode byte 0xff"),
+    (lambda t: _annotations_bytes(t, b"a" * 140_000 + b".y8seq,pan\n"),
+     "a.csv: field larger than field limit"),
 ], ids=["ragged-row", "non-numeric-cell", "nan-cell", "inf-cell", "duplicate-features-id",
         "zero-frame-clip", "one-frame-clip", "zero-width-y8seq", "zero-size-pgm-frame",
         "duplicate-clip-id",
@@ -753,7 +780,9 @@ _PRE_DIGEST_MODEL = ("model: calibrated without a stats_digest, as written befor
         "train-stats-116-columns", "eval-stats-116-columns", "viz-grid-116-columns",
         "viz-rose-calibrated-table", "viz-grid-calibrated-table", "string-viz-seed",
         "eval-split-repeated-clip-id", "eval-predictions-repeated-clip-id",
-        "eval-split-repeats-a-dropped-row", "train-val-repeated-clip-id"])
+        "eval-split-repeats-a-dropped-row", "train-val-repeated-clip-id",
+        "split-undecodable-annotations", "stats-undecodable-features",
+        "split-oversized-annotations-cell"])
 def test_cli_bad_input_is_data_error(tmp_path, capsys, make_args, message):
     args = make_args(tmp_path)
     files = sorted(tmp_path.rglob("*"))
@@ -786,10 +815,40 @@ def test_cli_refused_multi_output_command_writes_no_output(tmp_path, capsys, com
     assert [p for p in outputs if p.exists()] == []
 
 
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("command", ["stats", "split"])
+def test_cli_failed_write_is_one_data_error_line(tmp_path, capsys, monkeypatch, command):
+    # a full disk used to end in a 20-line OSError traceback with exit 1
+    if command == "stats":
+        args = _features_file(tmp_path, "a,pan,0.1,0.2", "b,pan,0.3,0.4")
+        monkeypatch.setattr(dgme.descriptor, "write_stats_json", _no_space)
+    else:
+        args = _annotations_bytes(tmp_path, _TEN_ROWS)
+        monkeypatch.setattr(dgme.evaluation, "write_annotations_csv", _no_space)
+    rc = main(args)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+
+
 def _overwriting(tmp_path, command):
     """``command`` on ``_eval_model``'s files, with an output naming another
     output, an input or a clip; returns (argv, the two options, the path),
-    or (argv, the error line) for an output inside a directory clip."""
+    or (argv, the error line) for an output inside a directory clip or one
+    that is a directory."""
+    if command == "split-val-directory":
+        # a second split used to rewrite train.csv, keep the first test.csv,
+        # then die with an IsADirectoryError traceback
+        out = tmp_path / "sp"
+        args = _annotations_bytes(tmp_path, _TEN_ROWS)[:-1] + [str(out)]
+        assert main(args + ["--seed", "1"]) == 0
+        (out / "val.csv").unlink()
+        (out / "val.csv").mkdir()
+        return (args + ["--seed", "2"],
+                f"error: argument --out-dir: {out / 'val.csv'} is a directory")
     eval_args = _eval_model(tmp_path)
     split, features, model = (str(tmp_path / n) for n in ("split.csv", "f.csv", "m.json"))
     stats = _stats_file(tmp_path)
@@ -844,7 +903,7 @@ def _overwriting(tmp_path, command):
                                      "normalize", "split", "oversample", "oversample-schema",
                                      "train-log", "train-input", "train-fusion-clip",
                                      "eval-outputs", "eval-predictions", "eval-fusion-clip",
-                                     "viz"])
+                                     "viz", "split-val-directory"])
 def test_cli_output_over_another_file_is_refused(tmp_path, capsys, command):
     # each exited 0 with one file lost: train --out X --log X kept the log,
     # eval kept only the confusion table, stats wrote over its features,
@@ -1340,7 +1399,10 @@ def test_cli_oversample_target_for_absent_class(tmp_path, capsys):
     ("missing", "pan=-1", "--targets count of class 'pan' must be >= 0, got -1"),
     ("real", "pan=-1", "--targets count of class 'pan' must be >= 0, got -1"),
     ("missing", "track=3", "target class 'track' not in schema modern4"),
-], ids=["negative-missing-split", "negative-real-split", "unknown-class-missing-split"])
+    ("missing", "pan=3,", "--targets part '' is not class=count with an integer count"),
+    ("missing", "pan=x", "--targets part 'pan=x' is not class=count with an integer count"),
+], ids=["negative-missing-split", "negative-real-split", "unknown-class-missing-split",
+        "empty-part-missing-split", "non-integer-count-missing-split"])
 def test_cli_oversample_refuses_bad_targets_before_reading(mini_corpus, tmp_path, capsys,
                                                            split, targets, message):
     # each used to read the split first: a missing one ended in exit 2 with
@@ -1631,7 +1693,7 @@ def test_cli_commands_that_draw_numbers_never_map_openssl(mini_corpus, tmp_path,
     assert json.loads(child.stdout.splitlines()[-1]) == [False, False]
 
 
-def _embed_per_row(clips_dir, clip_ids, seed, dim):
+def _embed_per_row(clips_dir, clip_ids, seed, dim, outputs):
     """Reference for ``cli._embed_clips``: reads and embeds every row, with
     the projection drawn per clip by a provider of its own."""
     rows = [dgme.model.StubEmbeddingProvider(seed=seed, dim=dim).embed(
